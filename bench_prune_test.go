@@ -77,7 +77,7 @@ func BenchmarkOrder2PairSweepPrunedHardened(b *testing.B) {
 
 // BenchmarkOrder3TripleSweep measures the order-3 stage the pruner
 // unlocks: the budget-capped triple list on the bootloader, executed
-// with a pair-seeded pruner the way campaign.RunOrder3 drives it.
+// with a pair-seeded pruner the way an order-3 campaign.Run drives it.
 func BenchmarkOrder3TripleSweep(b *testing.B) {
 	c := cases.Bootloader()
 	s, solo, pairs := pairSweepFixture(b, fault.Campaign{

@@ -531,11 +531,11 @@ func BenchmarkCampaignEngineBitflip(b *testing.B) {
 		rep, err := campaign.Run(fault.Campaign{
 			Binary: bin, Good: c.Good, Bad: c.Bad,
 			Models: []fault.Model{fault.ModelBitFlip},
-		}, campaign.Options{})
+		}, 1, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		injections += len(rep.Injections)
+		injections += len(rep.Report.Injections)
 	}
 	b.ReportMetric(float64(injections)/b.Elapsed().Seconds(), "injections/s")
 }
@@ -572,7 +572,7 @@ func BenchmarkCampaignBatch(b *testing.B) {
 		})
 	}
 	for i := 0; i < b.N; i++ {
-		for _, r := range campaign.RunAll(jobs, campaign.Options{}) {
+		for _, r := range campaign.RunAll(jobs, 1, campaign.Options{}) {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
@@ -590,11 +590,11 @@ func BenchmarkCampaignNewModels(b *testing.B) {
 		rep, err := campaign.Run(fault.Campaign{
 			Binary: bin, Good: c.Good, Bad: c.Bad,
 			Models: []fault.Model{fault.ModelRegFlip, fault.ModelMultiSkip, fault.ModelDataFlip},
-		}, campaign.Options{})
+		}, 1, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		injections += len(rep.Injections)
+		injections += len(rep.Report.Injections)
 	}
 	b.ReportMetric(float64(injections)/b.Elapsed().Seconds(), "injections/s")
 }
@@ -606,14 +606,14 @@ func BenchmarkCampaignOrder2(b *testing.B) {
 	bin := c.MustBuild()
 	pairs := 0
 	for i := 0; i < b.N; i++ {
-		rep, err := campaign.RunOrder2(fault.Campaign{
+		rep, err := campaign.Run(fault.Campaign{
 			Binary: bin, Good: c.Good, Bad: c.Bad,
 			Models: []fault.Model{fault.ModelSkip},
-		}, campaign.Options{})
+		}, 2, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pairs += len(rep.Pairs)
+		pairs += len(rep.Order2.Pairs)
 	}
 	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds(), "pairs/s")
 }

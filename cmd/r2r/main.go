@@ -524,53 +524,18 @@ func cmdCampaign(args []string, out io.Writer) error {
 		Prune: f.Prune, Progress: progressMeter(f.Quiet)}
 
 	var sums []campaign.Summary
-	if f.Order == 2 {
-		// Order-2 runs per binary: the pair list is derived from each
-		// binary's own order-1 sweep, so there is no batch fast path.
-		for _, job := range jobs {
-			start := time.Now()
-			var rep *campaign.Order2Report
-			var cache campaign.CacheStats
-			var prune *fault.PruneStats
-			if store != nil {
-				res, err := campaign.RunOrder2Incremental(job.Campaign, opt, nil)
-				if err != nil {
-					return fmt.Errorf("%s: %w", job.Name, err)
-				}
-				rep, cache, prune = res.Report, res.Cache, res.Prune
-			} else {
-				// No cache requested: RunOrder2Result keeps the plain
-				// simulation hot path (no footprint recording) while
-				// still surfacing the prune accounting.
-				res, err := campaign.RunOrder2Result(job.Campaign, opt)
-				if err != nil {
-					return fmt.Errorf("%s: %w", job.Name, err)
-				}
-				rep, prune = res.Report, res.Prune
-			}
-			sum := campaign.SummarizeOrder2(job.Name, rep)
-			sum.ElapsedMS = time.Since(start).Milliseconds()
-			if store != nil {
-				sum.Cache = &cache
-			}
-			sum.Prune = prune
-			sums = append(sums, sum)
+	for _, r := range campaign.RunAll(jobs, f.Order, opt) {
+		if r.Err != nil {
+			return fmt.Errorf("%s: %w", r.Name, r.Err)
 		}
-	} else {
-		results := campaign.RunAll(jobs, opt)
-		for _, r := range results {
-			if r.Err != nil {
-				return fmt.Errorf("%s: %w", r.Name, r.Err)
-			}
-			sum := campaign.Summarize(r.Name, r.Report)
-			sum.ElapsedMS = r.Elapsed.Milliseconds()
-			if store != nil {
-				cache := r.Cache
-				sum.Cache = &cache
-			}
-			sum.Prune = r.Prune
-			sums = append(sums, sum)
+		sum := campaign.Summarize(r.Name, &r.RunResult)
+		sum.ElapsedMS = r.Elapsed.Milliseconds()
+		if store != nil {
+			cache := r.Cache
+			sum.Cache = &cache
 		}
+		sum.Prune = r.Prune
+		sums = append(sums, sum)
 	}
 	if err := stopProf(); err != nil {
 		return err

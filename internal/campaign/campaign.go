@@ -102,15 +102,16 @@ type Options struct {
 	// campaign's own setting, itself defaulting to GOMAXPROCS).
 	Workers int
 
-	// Shard restricts execution to one shard of the fault list (for
-	// RunOrder2, one shard of the pair list — see there).
+	// Shard restricts execution to one shard of the run's top stage:
+	// the fault list at order 1, the pair list at order 2, the triple
+	// list at order 3 (see Run).
 	Shard Shard
 
-	// MaxPairs caps order-2 pair enumeration (RunOrder2 only;
+	// MaxPairs caps order-2 pair enumeration (orders 2 and 3;
 	// 0 = fault.DefaultMaxPairs).
 	MaxPairs int
 
-	// MaxTriples caps order-3 triple enumeration (RunOrder3 only;
+	// MaxTriples caps order-3 triple enumeration (order 3 only;
 	// 0 = fault.DefaultMaxTriples).
 	MaxTriples int
 
@@ -121,17 +122,17 @@ type Options struct {
 	// stay bit-identical, test-enforced by the differential harness in
 	// prunediff_test.go — so it is not part of the plan key. It does
 	// change the execution accounting, reported as PruneStats.
-	// RunOrder3 always prunes; order 3 is infeasible without it.
+	// Order 3 always prunes; it is infeasible without it.
 	Prune bool
 
-	// Progress, when non-nil, receives serialized updates as
-	// injections complete: Done is monotonically non-decreasing and the
-	// last call of a job has Done == Total. Called from the executing
-	// goroutines but never concurrently. RunOrder2 reports its two
-	// phases as separate jobs ("order-1", "order-2"; a corpus cell
-	// labels them "<case>/o2 order-1" and "<case>/o2 order-2" under the
-	// cell's job index). A campaign answered entirely from the store
-	// reports a single Done == Total update.
+	// Progress, when non-nil, receives one serialized update per
+	// completed injection, with Done counting them, so the last call
+	// of a job has Done == Total; a stage answered entirely from the
+	// store reports a single Done == Total update instead. Called from
+	// the executing goroutines but never concurrently. A run of order
+	// 2 or 3 reports each stage as a separate job ("order-1" ...
+	// "order-3"; a batch job or corpus cell labels them
+	// "<name> order-1" ... under its own job index).
 	Progress func(Progress)
 
 	// Store, when non-nil, is the content-addressed result cache the
@@ -173,45 +174,70 @@ func (opt Options) session(c fault.Campaign) (*fault.Session, error) {
 	return s, nil
 }
 
-// Run executes one fault campaign on the engine and assembles the
-// standard report. With a non-trivial shard, the report holds only that
-// shard's injections (in shard-local order); Merge recombines them.
-// With Options.Store set, the plan is answered from the store when
-// possible and recorded into it otherwise.
-func Run(c fault.Campaign, opt Options) (*fault.Report, error) {
-	res, err := runInc("", 0, 1, c, opt, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
-// RunResult is the full outcome of an incremental campaign run: the
-// report, the memo a follow-up run against a patched binary can reuse
-// outcomes from, and the cache accounting.
+// RunResult is the full outcome of one campaign run: the order-1
+// report and its tally, the pair and triple stages when the run's
+// order reaches them, the memo a follow-up run against a patched
+// binary can reuse outcomes from, and the execution accounting.
 type RunResult struct {
 	Report *fault.Report
-	Tally  fault.Tally
-	Memo   *Memo
+	Tally  fault.Tally   // outcome aggregate of Report's injections
+	Order2 *Order2Report // pair stage; nil below order 2
+	Order3 *Order3Report // triple stage; nil below order 3
+	Memo   *Memo         // solo-sweep memo; nil unless RunIncremental
 	Cache  CacheStats
 	Prune  *fault.PruneStats // pruning accounting; nil unless Options.Prune
 }
 
-// RunIncremental executes one campaign through the planner → store →
-// executor path. prev, when non-nil, is the memo of a previous run
-// (typically against the pre-patch binary of a driver iteration): every
-// fault whose recorded footprint avoids the bytes changed since is
-// answered from it, and only the rest are re-simulated. Results are
-// bit-identical to Run without any cache.
-func RunIncremental(c fault.Campaign, opt Options, prev *Memo) (*RunResult, error) {
-	return runInc("", 0, 1, c, opt, prev, true)
+// Run executes one fault campaign of the given order (1, 2 or 3):
+// the order-1 sweep, then the deterministically enumerated pair list
+// (fault.EnumeratePairs, opt.MaxPairs) on the first-fault snapshot tree
+// when order >= 2, then the triple list (fault.EnumerateTriples,
+// opt.MaxTriples) when order == 3. opt.Shard applies to the top stage
+// only — the lower stages run unsharded, since pair and triple
+// enumeration and pruning need every lower outcome; Merge and
+// MergeOrder2 recombine the shards. Order 3 always prunes: the cubic
+// triple space is infeasible without it. With Options.Store set, every
+// stage is answered from its own plan key when possible and recorded
+// into it otherwise. Each list is a pure function of the deterministic
+// lower stages, so results are bit-identical across worker counts,
+// shard decompositions, pruning, and store replay.
+func Run(c fault.Campaign, order int, opt Options) (*RunResult, error) {
+	return run("", 0, 1, order, c, opt, nil, false)
 }
 
-// runInc is the shared order-1 execution path. wantMemo gates the
-// footprint recording and memo assembly: callers that discard the memo
-// and bring no cache (Run, RunAll without a store) keep the plain
-// simulation hot path.
-func runInc(name string, jobIndex, jobs int, c fault.Campaign, opt Options, prev *Memo, wantMemo bool) (*RunResult, error) {
+// RunIncremental is Run through the planner → store → executor path
+// with a memo. prev, when non-nil, is the memo of a previous run
+// (typically against the pre-patch binary of a driver iteration): every
+// solo fault whose recorded footprint avoids the bytes changed since is
+// answered from it, and only the rest are re-simulated. The pair and
+// triple stages are reused on exact plan-key matches only, since they
+// fork mid-trace faulted machines whose footprints are not recorded.
+// Results are bit-identical to Run without any cache.
+func RunIncremental(c fault.Campaign, order int, opt Options, prev *Memo) (*RunResult, error) {
+	return run("", 0, 1, order, c, opt, prev, true)
+}
+
+// checkOrder rejects fault orders the engine does not run.
+func checkOrder(order int) error {
+	if order < 1 || order > 3 {
+		return fmt.Errorf("campaign: unsupported fault order %d: want 1, 2 or 3", order)
+	}
+	return nil
+}
+
+// run is the one campaign execution path: the solo stage, then the
+// pair stage when order >= 2, then the triple stage when order == 3.
+// wantMemo gates the footprint recording and memo assembly: callers
+// that discard the memo and bring no store (Run, RunAll without a
+// store) keep the plain simulation hot path. job/jobIndex/jobs label
+// the progress updates (see Options.Progress).
+func run(job string, jobIndex, jobs, order int, c fault.Campaign, opt Options, prev *Memo, wantMemo bool) (*RunResult, error) {
+	if err := checkOrder(order); err != nil {
+		return nil, err
+	}
+	if order == 3 {
+		opt.Prune = true
+	}
 	shard, err := opt.Shard.normalize()
 	if err != nil {
 		return nil, err
@@ -220,43 +246,90 @@ func runInc(name string, jobIndex, jobs int, c fault.Campaign, opt Options, prev
 	if err != nil {
 		return nil, err
 	}
-	e := &executor{s: s, store: opt.Store, prune: opt.Prune}
-	progress := progressFunc(opt, name, jobIndex, jobs)
-	injections, tally, memo, stats, err := e.solo(c, shard, opt.Workers, prev, wantMemo, progress)
-	if err != nil {
-		return nil, err
+	// stage returns the shard and progress meter of stage k.
+	stage := func(k int) (Shard, *meter) {
+		sh := Shard{}
+		if k == order {
+			sh = shard
+		}
+		switch {
+		case order == 1:
+			return sh, newMeter(opt, job, jobIndex, jobs)
+		case job == "":
+			return sh, newMeter(opt, fmt.Sprintf("order-%d", k), k-1, order)
+		default:
+			return sh, newMeter(opt, fmt.Sprintf("%s order-%d", job, k), jobIndex, jobs)
+		}
 	}
-	return &RunResult{
-		Report: s.Report(injections),
-		Tally:  tally,
-		Memo:   memo,
-		Cache:  stats,
-		Prune:  e.pruneStats(),
-	}, nil
+
+	e := &executor{s: s, store: opt.Store, prune: opt.Prune, workers: opt.Workers}
+	sh, m := stage(1)
+	solo, tally, memo, stats := e.solo(c, sh, prev, wantMemo, m)
+	res := &RunResult{Report: s.Report(solo), Tally: tally, Memo: memo, Cache: stats}
+	if order >= 2 {
+		sh, m := stage(2)
+		pairs, tally, stats := runStage(e, c, sh, m, e.pairStage(solo, opt.MaxPairs, sh))
+		res.Order2 = &Order2Report{Solo: res.Report, Pairs: pairs, PairTally: tally}
+		res.Cache.Add(stats)
+	}
+	if order == 3 {
+		sh, m := stage(3)
+		triples, tally, stats := runStage(e, c, sh, m, e.tripleStage(solo, res.Order2.Pairs, opt.MaxTriples, sh))
+		res.Order3 = &Order3Report{Triples: triples, TripleTally: tally}
+		res.Cache.Add(stats)
+	}
+	res.Prune = e.pruneStats()
+	return res, nil
 }
 
-// progressFunc adapts the Options callback to the engine's raw
-// (done, total) firehose: workers race to deliver their counts, and
-// dropping the stale ones keeps Done monotonic, so the final callback a
-// consumer sees is always Done == Total. Returns nil when no callback
-// is configured.
-func progressFunc(opt Options, name string, jobIndex, jobs int) func(done, total int) {
+// meter adapts the Options callback to the engine's per-unit signal:
+// it owns the job's completion count under its mutex, so every
+// completed injection yields exactly one serialized update whose Done
+// counts them, ending at Done == Total. A nil meter (no callback
+// configured) is a valid no-op.
+type meter struct {
+	mu     sync.Mutex
+	report func(Progress)
+	p      Progress
+}
+
+// newMeter returns the meter of one job, or nil when no callback is
+// configured.
+func newMeter(opt Options, job string, jobIndex, jobs int) *meter {
 	if opt.Progress == nil {
 		return nil
 	}
-	var mu sync.Mutex
-	last := -1
-	return func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if done < last {
-			return
-		}
-		last = done
-		opt.Progress(Progress{
-			Job: name, JobIndex: jobIndex, Jobs: jobs,
-			Done: done, Total: total,
-		})
+	return &meter{report: opt.Progress, p: Progress{Job: job, JobIndex: jobIndex, Jobs: jobs}}
+}
+
+// add records n more completed units of total and reports. The
+// callback runs under the lock: that is what serializes and orders
+// the updates, as Options.Progress promises.
+func (m *meter) add(n, total int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.p.Done += n
+	m.p.Total = total
+	m.report(m.p)
+}
+
+// tick is the engine-facing callback: one more unit of total done.
+func (m *meter) tick(total int) { m.add(1, total) }
+
+// engine returns the callback to hand the fault engine — nil without a
+// configured callback, keeping the engine's no-progress path.
+func (m *meter) engine() func(total int) {
+	if m == nil {
+		return nil
+	}
+	return m.tick
+}
+
+// complete reports a whole stage answered at once (a store hit) as a
+// single Done == Total update.
+func (m *meter) complete(total int) {
+	if m != nil {
+		m.add(total, total)
 	}
 }
 
@@ -266,32 +339,29 @@ type Job struct {
 	Campaign fault.Campaign
 }
 
-// Result is the outcome of one batch job.
+// Result is the outcome of one batch job: its RunResult (zero when Err
+// is set) plus the job's name and wall time.
 type Result struct {
-	Name    string
-	Report  *fault.Report // nil when Err is set
-	Tally   fault.Tally
+	Name string
+	RunResult
 	Elapsed time.Duration
-	Cache   CacheStats        // store/memo accounting (hit/miss counters zero without Options.Store)
-	Prune   *fault.PruneStats // pruning accounting; nil unless Options.Prune
 	Err     error
 }
 
-// RunAll executes a batch of campaigns — typically the same sweep over
-// many binaries or hardened variants. Jobs run sequentially (each one
-// already saturates the worker pool internally); a failing job records
-// its error and the batch continues.
-func RunAll(jobs []Job, opt Options) []Result {
+// RunAll executes a batch of campaigns of one order — typically the
+// same sweep over many binaries or hardened variants. Jobs run
+// sequentially (each one already saturates the worker pool
+// internally); a failing job records its error and the batch
+// continues. No memo is built: RunAll keeps the plain simulation path
+// unless a store is configured.
+func RunAll(jobs []Job, order int, opt Options) []Result {
 	out := make([]Result, len(jobs))
 	for i, job := range jobs {
 		start := time.Now() //lint:allow wallclock (Elapsed is reporting-only, stripped before determinism comparisons)
-		res, err := runInc(job.Name, i, len(jobs), job.Campaign, opt, nil, false)
+		res, err := run(job.Name, i, len(jobs), order, job.Campaign, opt, nil, false)
 		out[i] = Result{Name: job.Name, Elapsed: time.Since(start), Err: err}
 		if err == nil {
-			out[i].Report = res.Report
-			out[i].Tally = res.Tally
-			out[i].Cache = res.Cache
-			out[i].Prune = res.Prune
+			out[i].RunResult = *res
 		}
 	}
 	return out
@@ -304,9 +374,9 @@ type Order2Report struct {
 	Pairs []fault.PairInjection // simulated pairs, in enumeration order
 
 	// PairTally is the engine-provided outcome aggregate of Pairs
-	// (populated by RunOrder2 and MergeOrder2, like Result.Tally for
-	// order-1 batches). PairCount and SummarizeOrder2 derive from
-	// Pairs directly, so they are exact on any report.
+	// (populated by Run and MergeOrder2, like Result.Tally for
+	// order-1 batches). PairCount and Summarize derive from Pairs
+	// directly, so they are exact on any report.
 	PairTally fault.Tally
 }
 
@@ -333,90 +403,22 @@ func (r *Order2Report) SuccessfulPairs() []fault.PairInjection {
 	return out
 }
 
-// RunOrder2 executes an order-2 multi-fault campaign: the complete
-// order-1 sweep runs first (always unsharded — pair pruning needs every
-// solo outcome), then the deterministically enumerated pair list (see
-// fault.EnumeratePairs) is simulated on the first-fault snapshot tree.
-// opt.Shard applies to the pair list only; opt.MaxPairs caps it.
-// Because the pair list is a pure function of the (deterministic) solo
-// sweep, results are bit-identical across worker counts and shard
-// decompositions — and across store hits and cold runs.
-func RunOrder2(c fault.Campaign, opt Options) (*Order2Report, error) {
-	res, err := runOrder2Inc("", 0, 1, c, opt, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
+// Order3Report is the triple stage of an order-3 multi-fault campaign
+// (the lower stages are the RunResult's Report and Order2).
+type Order3Report struct {
+	Triples     []fault.TripleInjection // simulated triples, in enumeration order
+	TripleTally fault.Tally
 }
 
-// Order2Result is the full outcome of an incremental order-2 run.
-type Order2Result struct {
-	Report *Order2Report
-	Memo   *Memo // solo-sweep memo, reusable by the next incremental run
-	Cache  CacheStats
-	Prune  *fault.PruneStats // pruning accounting; nil unless Options.Prune
-}
-
-// RunOrder2Result is RunOrder2 returning the full result — cache and
-// pruning accounting included — without the incremental memo
-// machinery. The CLI surfaces these stats; the report itself is
-// bit-identical to RunOrder2's.
-func RunOrder2Result(c fault.Campaign, opt Options) (*Order2Result, error) {
-	return runOrder2Inc("", 0, 1, c, opt, nil, false)
-}
-
-// RunOrder2Incremental is RunOrder2 through the planner → store →
-// executor path. The solo sweep reuses prev like RunIncremental (and is
-// stored under its own order-1 plan key, so order-1 and order-2
-// campaigns of the same binary share it); the pair stage is reused on
-// exact plan-key matches only, since pair runs fork mid-trace faulted
-// machines whose footprints are not recorded.
-func RunOrder2Incremental(c fault.Campaign, opt Options, prev *Memo) (*Order2Result, error) {
-	return runOrder2Inc("", 0, 1, c, opt, prev, true)
-}
-
-// runOrder2Inc is the shared order-2 execution path. With an empty name
-// the two phases report as the documented stand-alone jobs ("order-1"
-// 0/2, "order-2" 1/2); a batch caller (RunCorpus) passes its own
-// name/jobIndex/jobs and the phases report as "<name> order-1" and
-// "<name> order-2" under that index — still separate jobs, so the
-// Done-is-monotonic-per-job contract of Options.Progress holds.
-func runOrder2Inc(name string, jobIndex, jobs int, c fault.Campaign, opt Options, prev *Memo, wantMemo bool) (*Order2Result, error) {
-	soloProgress := progressFunc(opt, "order-1", 0, 2)
-	pairProgress := progressFunc(opt, "order-2", 1, 2)
-	if name != "" {
-		soloProgress = progressFunc(opt, name+" order-1", jobIndex, jobs)
-		pairProgress = progressFunc(opt, name+" order-2", jobIndex, jobs)
+// TripleCount returns how many triples had the given outcome.
+func (r *Order3Report) TripleCount(o fault.Outcome) int {
+	n := 0
+	for _, t := range r.Triples {
+		if t.Outcome == o {
+			n++
+		}
 	}
-	shard, err := opt.Shard.normalize()
-	if err != nil {
-		return nil, err
-	}
-	s, err := opt.session(c)
-	if err != nil {
-		return nil, err
-	}
-	e := &executor{s: s, store: opt.Store, prune: opt.Prune}
-	solo, _, memo, stats, err := e.solo(c, Shard{}, opt.Workers, prev, wantMemo, soloProgress)
-	if err != nil {
-		return nil, err
-	}
-	injections, tally, pairStats, err := e.pairs(c, shard, opt.Workers, opt.MaxPairs, solo,
-		pairProgress)
-	if err != nil {
-		return nil, err
-	}
-	stats.Add(pairStats)
-	return &Order2Result{
-		Report: &Order2Report{
-			Solo:      s.Report(solo),
-			Pairs:     injections,
-			PairTally: tally,
-		},
-		Memo:  memo,
-		Cache: stats,
-		Prune: e.pruneStats(),
-	}, nil
+	return n
 }
 
 // MergeOrder2 recombines the pair shards of one order-2 campaign

@@ -75,14 +75,15 @@ func miniCampaign(bin *elf.Binary, models ...fault.Model) fault.Campaign {
 func TestWorkerCountInvariance(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip, fault.ModelBitFlip)
-	serial, err := Run(c, Options{Workers: 1})
+	serialRes, err := Run(c, 1, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(c, Options{Workers: 8})
+	parallelRes, err := Run(c, 1, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial, parallel := serialRes.Report, parallelRes.Report
 	if !reflect.DeepEqual(serial.Injections, parallel.Injections) {
 		t.Fatal("1-worker and 8-worker reports differ")
 	}
@@ -103,39 +104,41 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestShardRecombination(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip, fault.ModelBitFlip)
-	full, err := Run(c, Options{})
+	full, err := Run(c, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 3
 	shards := make([]*fault.Report, n)
 	for i := 0; i < n; i++ {
-		shards[i], err = Run(c, Options{Shard: Shard{Index: i, Count: n}, Workers: 2})
+		res, err := Run(c, 1, Options{Shard: Shard{Index: i, Count: n}, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		shards[i] = res.Report
 	}
 	merged, err := Merge(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(merged.Injections, full.Injections) {
+	if !reflect.DeepEqual(merged.Injections, full.Report.Injections) {
 		t.Fatal("merged shards differ from the unsharded run")
 	}
 }
 
 func TestShardValidation(t *testing.T) {
 	bin := buildMini(t)
-	if _, err := Run(miniCampaign(bin, fault.ModelSkip), Options{Shard: Shard{Index: 5, Count: 3}}); err == nil {
+	if _, err := Run(miniCampaign(bin, fault.ModelSkip), 1, Options{Shard: Shard{Index: 5, Count: 3}}); err == nil {
 		t.Error("out-of-range shard index accepted")
 	}
 	if _, err := Merge(nil); err == nil {
 		t.Error("empty merge accepted")
 	}
-	full, err := Run(miniCampaign(bin, fault.ModelSkip), Options{})
+	res, err := Run(miniCampaign(bin, fault.ModelSkip), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := res.Report
 	truncated := &fault.Report{
 		GoodOracle: full.GoodOracle,
 		BadOracle:  full.BadOracle,
@@ -147,7 +150,8 @@ func TestShardValidation(t *testing.T) {
 }
 
 // TestRunAllBatch: the batch API runs every job, reports progress
-// monotonically per job, and tallies match the reports.
+// exactly once per injection and monotonically per job, and tallies
+// match the reports.
 func TestRunAllBatch(t *testing.T) {
 	bin := buildMini(t)
 	var mu_last Progress
@@ -156,10 +160,19 @@ func TestRunAllBatch(t *testing.T) {
 		{Name: "skip", Campaign: miniCampaign(bin, fault.ModelSkip)},
 		{Name: "bitflip", Campaign: miniCampaign(bin, fault.ModelBitFlip)},
 	}
-	results := RunAll(jobs, Options{Progress: func(p Progress) {
+	results := RunAll(jobs, 1, Options{Progress: func(p Progress) {
 		calls++
 		if p.Jobs != 2 {
 			t.Errorf("progress Jobs = %d, want 2", p.Jobs)
+		}
+		// One update per completed injection: Done counts up by one
+		// within a job and restarts with the next.
+		want := mu_last.Done + 1
+		if p.Job != mu_last.Job {
+			want = 1
+		}
+		if p.Done != want {
+			t.Errorf("progress %+v after %+v, want Done %d", p, mu_last, want)
 		}
 		mu_last = p
 	}})
@@ -194,7 +207,7 @@ func TestRunAllContinuesPastErrors(t *testing.T) {
 		{Name: "broken", Campaign: fault.Campaign{Binary: bin, Good: goodPin, Bad: goodPin}},
 		{Name: "ok", Campaign: miniCampaign(bin, fault.ModelSkip)},
 	}
-	results := RunAll(jobs, Options{})
+	results := RunAll(jobs, 1, Options{})
 	if results[0].Err == nil {
 		t.Error("indistinguishable oracles not reported")
 	}
@@ -207,14 +220,15 @@ func TestRunAllContinuesPastErrors(t *testing.T) {
 // agree with the report.
 func TestExportJSONAndCSV(t *testing.T) {
 	c := cases.Pincheck()
-	rep, err := Run(fault.Campaign{
+	res, err := Run(fault.Campaign{
 		Binary: c.MustBuild(), Good: c.Good, Bad: c.Bad,
 		Models: []fault.Model{fault.ModelSkip},
-	}, Options{})
+	}, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := Summarize("pincheck", rep)
+	rep := res.Report
+	sum := Summarize("pincheck", res)
 	if sum.Injections != len(rep.Injections) || sum.Success != rep.Count(fault.OutcomeSuccess) {
 		t.Errorf("summary counts wrong: %+v", sum)
 	}
@@ -255,14 +269,15 @@ func TestOrder2WorkerInvariance(t *testing.T) {
 		Models:     []fault.Model{fault.ModelSkip, fault.ModelRegFlip, fault.ModelMultiSkip, fault.ModelDataFlip},
 		DedupSites: true,
 	}
-	serial, err := RunOrder2(camp, Options{Workers: 1, MaxPairs: 500})
+	serialRes, err := Run(camp, 2, Options{Workers: 1, MaxPairs: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunOrder2(camp, Options{Workers: 8, MaxPairs: 500})
+	parallelRes, err := Run(camp, 2, Options{Workers: 8, MaxPairs: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial, parallel := serialRes.Order2, parallelRes.Order2
 	if !reflect.DeepEqual(serial.Solo.Injections, parallel.Solo.Injections) {
 		t.Fatal("order-1 stage not worker-invariant")
 	}
@@ -286,17 +301,19 @@ func TestOrder2ShardRecombination(t *testing.T) {
 		Models:     []fault.Model{fault.ModelSkip, fault.ModelBitFlip},
 		DedupSites: true,
 	}
-	full, err := RunOrder2(camp, Options{MaxPairs: 300})
+	res, err := Run(camp, 2, Options{MaxPairs: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := res.Order2
 	const n = 3
 	shards := make([]*Order2Report, n)
 	for i := 0; i < n; i++ {
-		shards[i], err = RunOrder2(camp, Options{Shard: Shard{Index: i, Count: n}, Workers: 2, MaxPairs: 300})
+		res, err := Run(camp, 2, Options{Shard: Shard{Index: i, Count: n}, Workers: 2, MaxPairs: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
+		shards[i] = res.Order2
 	}
 	merged, err := MergeOrder2(shards)
 	if err != nil {
@@ -323,11 +340,12 @@ func TestOrder2ShardRecombination(t *testing.T) {
 // name strings (no hand-rolled stringification).
 func TestSummarizePerModel(t *testing.T) {
 	bin := buildMini(t)
-	rep, err := Run(miniCampaign(bin, fault.ModelSkip, fault.ModelBitFlip, fault.ModelMultiSkip), Options{})
+	res, err := Run(miniCampaign(bin, fault.ModelSkip, fault.ModelBitFlip, fault.ModelMultiSkip), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := Summarize("mini", rep)
+	rep := res.Report
+	sum := Summarize("mini", res)
 	if len(sum.PerModel) != 3 {
 		t.Fatalf("per-model rows = %d, want 3", len(sum.PerModel))
 	}
@@ -363,11 +381,12 @@ func TestSummarizePerModel(t *testing.T) {
 // round trip with the pair stage intact.
 func TestOrder2SummaryRoundTrip(t *testing.T) {
 	bin := buildMini(t)
-	rep, err := RunOrder2(miniCampaign(bin, fault.ModelSkip), Options{MaxPairs: 50})
+	res, err := Run(miniCampaign(bin, fault.ModelSkip), 2, Options{MaxPairs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := SummarizeOrder2("mini", rep)
+	rep := res.Order2
+	sum := Summarize("mini", res)
 	if sum.Order2 == nil || sum.Order2.Pairs != len(rep.Pairs) {
 		t.Fatalf("order-2 stage missing from summary: %+v", sum.Order2)
 	}
@@ -398,14 +417,15 @@ func TestEngineAgainstHardenedVariant(t *testing.T) {
 	bin := c.MustBuild()
 	camp := fault.Campaign{Binary: bin, Good: c.Good, Bad: c.Bad,
 		Models: []fault.Model{fault.ModelSkip}}
-	a, err := Run(camp, Options{Workers: 1})
+	resA, err := Run(camp, 1, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(camp, Options{Workers: 6})
+	resB, err := Run(camp, 1, Options{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := resA.Report, resB.Report
 	if !reflect.DeepEqual(a.Injections, b.Injections) {
 		t.Fatal("hardened-variant campaign not worker-invariant")
 	}

@@ -98,12 +98,11 @@ func AssertOrder2Equal(tb testing.TB, label string, want, got *campaign.Order2Re
 	}
 }
 
-// AssertOrder3Equal fails unless two order-3 reports are bit-identical:
-// the full order-2 lower stages plus the triple list (triples and
-// outcomes, in order) and its tally.
+// AssertOrder3Equal fails unless two order-3 triple stages are
+// bit-identical: the triple list (triples and outcomes, in order) and
+// its tally. The lower stages live beside it in the run's Order2.
 func AssertOrder3Equal(tb testing.TB, label string, want, got *campaign.Order3Report) {
 	tb.Helper()
-	AssertOrder2Equal(tb, label+" lower", want.Order2(), got.Order2())
 	if !reflect.DeepEqual(want.Triples, got.Triples) {
 		tb.Fatalf("%s: triple stages differ (%d vs %d triples)", label, len(want.Triples), len(got.Triples))
 	}
@@ -139,12 +138,13 @@ func AssertCorpusEqual(tb testing.TB, label string, want, got *campaign.CorpusRe
 			tb.Fatalf("%s: cell %d ran different stages", label, i)
 		}
 		switch {
-		case w.Order3 != nil:
-			AssertOrder3Equal(tb, cell, w.Order3, g.Order3)
 		case w.Order2 != nil:
 			AssertOrder2Equal(tb, cell, w.Order2, g.Order2)
 		default:
 			AssertReportsEqual(tb, cell, w.Report, g.Report)
+		}
+		if w.Order3 != nil {
+			AssertOrder3Equal(tb, cell, w.Order3, g.Order3)
 		}
 	}
 }

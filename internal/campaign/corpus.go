@@ -52,7 +52,7 @@ type CorpusOptions struct {
 
 	// Orders lists the fault orders swept per case, in order (default
 	// {1}; 1, 2, and 3 are valid — order 3 always runs pruned and
-	// budget-capped, see RunOrder3). An order-2 sweep stores and reuses
+	// budget-capped, see Run). An order-2 sweep stores and reuses
 	// its order-1 stage under the same plan key as a plain order-1 run,
 	// so Orders {1, 2} answers the second solo sweep from the store;
 	// an order-3 sweep likewise reuses the order-2 cell's pair stage
@@ -73,8 +73,8 @@ type CorpusCaseResult struct {
 	Case  string
 	Order int
 
-	Report  *fault.Report // the order-1 sweep (Order2.Solo for orders 2/3)
-	Order2  *Order2Report // pair stage; nil for order-1 cells (Order3.Order2() for order 3)
+	Report  *fault.Report // the order-1 sweep
+	Order2  *Order2Report // pair stage; nil for order-1 cells
 	Order3  *Order3Report // triple stage; nil except for order-3 cells
 	Summary Summary       // export-ready digest (Name is "case/oN")
 	Elapsed time.Duration
@@ -111,8 +111,8 @@ func RunCorpus(jobs []CorpusJob, opt CorpusOptions) (*CorpusResult, error) {
 		orders = []int{1}
 	}
 	for _, o := range orders {
-		if o != 1 && o != 2 && o != 3 {
-			return nil, fmt.Errorf("campaign: unsupported corpus order %d: want 1, 2 or 3", o)
+		if err := checkOrder(o); err != nil {
+			return nil, err
 		}
 	}
 	if opt.Store == nil {
@@ -153,8 +153,8 @@ func RunCorpus(jobs []CorpusJob, opt CorpusOptions) (*CorpusResult, error) {
 			opt.Pool = pool
 		}
 		// Options.Progress promises serialized delivery; with chains
-		// interleaving, serialize here (per-cell monotonicity is
-		// progressFunc's, which each cell stage owns privately).
+		// interleaving, serialize here (per-cell counting is the
+		// meter's, which each cell stage owns privately).
 		if opt.Progress != nil {
 			var mu sync.Mutex
 			inner := opt.Progress
@@ -222,43 +222,14 @@ func runChain(ch *corpusChain, orders []int, opt CorpusOptions, results []Corpus
 			name := fmt.Sprintf("%s/o%d", job.Case, order)
 			start := time.Now() //lint:allow wallclock (ElapsedMS is reporting-only, stripped before determinism comparisons)
 			out := CorpusCaseResult{Case: job.Case, Order: order}
-			switch order {
-			case 1:
-				r, err := runInc(name, idx, cells, job.Campaign, jobOpt, memo, true)
-				if err != nil {
-					out.Err = err
-					break
-				}
+			r, err := run(name, idx, cells, order, job.Campaign, jobOpt, memo, true)
+			if err != nil {
+				out.Err = err
+			} else {
 				memo = r.Memo
-				out.Report = r.Report
-				out.Cache = r.Cache
-				out.Prune = r.Prune
-				out.Summary = Summarize(name, r.Report)
-			case 2:
-				r, err := runOrder2Inc(name, idx, cells, job.Campaign, jobOpt, memo, true)
-				if err != nil {
-					out.Err = err
-					break
-				}
-				memo = r.Memo
-				out.Report = r.Report.Solo
-				out.Order2 = r.Report
-				out.Cache = r.Cache
-				out.Prune = r.Prune
-				out.Summary = SummarizeOrder2(name, r.Report)
-			case 3:
-				r, err := runOrder3Inc(name, idx, cells, job.Campaign, jobOpt, memo, true)
-				if err != nil {
-					out.Err = err
-					break
-				}
-				memo = r.Memo
-				out.Report = r.Report.Solo
-				out.Order2 = r.Report.Order2()
-				out.Order3 = r.Report
-				out.Cache = r.Cache
-				out.Prune = r.Prune
-				out.Summary = SummarizeOrder3(name, r.Report)
+				out.Report, out.Order2, out.Order3 = r.Report, r.Order2, r.Order3
+				out.Cache, out.Prune = r.Cache, r.Prune
+				out.Summary = Summarize(name, r)
 			}
 			out.Elapsed = time.Since(start)
 			if out.Err == nil {

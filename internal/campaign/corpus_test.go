@@ -148,11 +148,11 @@ func TestCorpusMemoAcrossVariants(t *testing.T) {
 	// The variants' outcome vectors must agree (the dead tail is
 	// unreachable), and the memo-assisted run must equal a cold run of
 	// the second binary.
-	cold, err := Run(miniCampaign(binB, fault.ModelSkip), Options{})
+	cold, err := Run(miniCampaign(binB, fault.ModelSkip), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cold.Injections, second.Report.Injections) {
+	if !reflect.DeepEqual(cold.Report.Injections, second.Report.Injections) {
 		t.Fatal("memo-assisted corpus run differs from a cold run of the variant")
 	}
 }

@@ -144,17 +144,18 @@ func (m *Memo) lookup(f fault.Fault, changed map[uint64]bool, limit uint64) (Rec
 
 // executor runs one plan on a session, consulting the store and a memo.
 // With prune set, simulation routes through the fault-equivalence
-// pruning pass; the accumulated accounting lands in stats. The stage
-// methods (solo, pairs, triples) are called sequentially by one
-// goroutine — the pruners they build handle the intra-stage
+// pruning pass; the accumulated accounting lands in stats. The stages
+// (solo, then runStage for pairs and triples) are called sequentially
+// by one goroutine — the pruners they build handle the intra-stage
 // concurrency — so stats and pairPruner need no locking here.
 type executor struct {
-	s     *fault.Session
-	store *Store
-	prune bool
+	s       *fault.Session
+	store   *Store
+	prune   bool
+	workers int
 
 	stats      fault.PruneStats
-	pairPruner *fault.PairPruner // built by pairs(), reused by triples()
+	pairPruner *fault.PairPruner // built by the pair stage, reused by the triple stage
 }
 
 // pruneStats returns the accumulated pruning accounting, or nil when
@@ -192,67 +193,91 @@ func shardSelect[T any](items []T, shard Shard) []T {
 	return fault.ShardSelect(items, shard.Index, shard.Count)
 }
 
+// acquire looks the plan up in the store. It returns the stored entry
+// when it was computed from exactly this stage — the same item-list
+// digest, oracles, injection budget, and shard-local length n — and
+// otherwise the commit function that saves the re-computed entry: the
+// singleflight leader's commit, or a direct Save when a stale entry
+// (schema drift in enumeration, an oracle change) was served, since no
+// flight is held then. Concurrent cells computing the same plan key
+// elect one leader; the rest are served its committed entry.
+func (e *executor) acquire(plan Plan, digest string, n int, length func(*Entry) int) (*Entry, func(*Entry) CacheStats) {
+	entry, commit := e.store.Acquire(plan.Key)
+	good, bad := e.s.Oracles()
+	if entry != nil {
+		if entry.Digest == digest && entry.GoodOracle == good && entry.BadOracle == bad &&
+			entry.Limit == e.s.InjectionLimit() && length(entry) == n {
+			return entry, nil
+		}
+		commit = e.store.Save
+	}
+	return nil, func(fresh *Entry) CacheStats {
+		fresh.Key, fresh.Digest = plan.Key, digest
+		fresh.GoodOracle, fresh.BadOracle, fresh.Limit = good, bad, e.s.InjectionLimit()
+		stats := CacheStats{Misses: 1}
+		if commit(fresh) != nil {
+			stats.WriteErrors++
+		}
+		return stats
+	}
+}
+
 // solo executes the order-1 stage of a plan: store lookup first, then
 // memo-assisted simulation of the misses. It returns the shard-local
 // injections, the memo for the next incremental run (nil when
-// wantMemo is false and nothing needed recording), and the cache
-// accounting. With no store, no previous memo, and no memo requested,
-// it takes the plain-simulation fast path — the pre-existing hot path,
-// with no footprint recording or image copying.
-func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, wantMemo bool, progress func(done, total int)) ([]fault.Injection, fault.Tally, *Memo, CacheStats, error) {
+// wantMemo is false), and the cache accounting. With no store, no
+// previous memo, and no memo requested, it takes the plain-simulation
+// fast path, with no footprint recording or image copying.
+func (e *executor) solo(c fault.Campaign, shard Shard, prev *Memo, wantMemo bool, m *meter) ([]fault.Injection, fault.Tally, *Memo, CacheStats) {
 	if e.store == nil && prev == nil && !wantMemo {
 		sim, _, flush := e.soloSim()
-		injections, tally := e.s.ExecuteShardSim(shard.Index, shard.Count, workers, sim, progress)
+		injections, tally := e.s.ExecuteShardSim(shard.Index, shard.Count, e.workers, sim, m.engine())
 		flush()
-		return injections, tally, nil, CacheStats{Resimulated: len(injections)}, nil
+		return injections, tally, nil, CacheStats{Resimulated: len(injections)}
 	}
 
-	plan := NewPlan(c, shard, 1, 0)
-	fd := digestFaults(e.s.Faults())
 	sel := shardSelect(e.s.Faults(), shard)
-	good, bad := e.s.Oracles()
+	good, _ := e.s.Oracles()
 	limit := e.s.InjectionLimit()
 
 	// The binary's page image serves the memo gate and any memo built
 	// below; construct it lazily and at most once per run.
 	var img map[uint64][]byte
 	var dataPages map[uint64]bool
-	image := func() (map[uint64][]byte, map[uint64]bool) {
+	memoOf := func(records []Record) *Memo {
+		if !wantMemo {
+			return nil
+		}
 		if img == nil {
 			img, dataPages = buildImage(c.Binary)
 		}
-		return img, dataPages
+		return newMemo(c, good, limit, sel, records, img, dataPages)
 	}
 
-	// Singleflight: concurrent cells computing the same plan key (same
-	// binary, options, shard, order) elect one leader; the rest are
-	// served its committed entry as a hit.
-	var commit func(*Entry) error
+	var save func(*Entry) CacheStats
 	if e.store != nil {
-		entry, lead := e.store.Acquire(plan.Key)
+		entry, commit := e.acquire(NewPlan(c, shard, 1, 0), digestFaults(e.s.Faults()), len(sel),
+			func(en *Entry) int { return len(en.Records) })
 		if entry != nil {
-			inj, tally, err := rebuildSolo(entry, fd, good, bad, limit, sel)
-			if err == nil {
-				if progress != nil {
-					progress(len(sel), len(sel))
-				}
-				var memo *Memo
-				if wantMemo {
-					hitImg, hitData := image()
-					memo = newMemo(c, good, limit, sel, entry.Records, hitImg, hitData)
-				}
-				return inj, tally, memo, CacheStats{Hits: 1}, nil
+			injections := make([]fault.Injection, len(sel))
+			var tally fault.Tally
+			for i, f := range sel {
+				injections[i] = fault.Injection{Fault: f, Outcome: entry.Records[i].Outcome}
+				tally[entry.Records[i].Outcome]++
 			}
-			// Stale entry (schema drift): fall through and re-simulate.
+			m.complete(len(sel))
+			return injections, tally, memoOf(entry.Records), CacheStats{Hits: 1}
 		}
-		commit = lead
+		save = commit
 	}
 
 	var changed map[uint64]bool
 	useMemo := false
 	if prev != nil {
-		gateImg, gateData := image()
-		changed, useMemo = memoGate(c, prev, good, gateImg, gateData)
+		if img == nil {
+			img, dataPages = buildImage(c.Binary)
+		}
+		changed, useMemo = memoGate(c, prev, good, img, dataPages)
 	}
 	pos := make(map[fault.Fault]int, len(sel))
 	for i, f := range sel {
@@ -275,34 +300,14 @@ func (e *executor) solo(c fault.Campaign, shard Shard, workers int, prev *Memo, 
 		resim.Add(1)
 		return sr.Outcome
 	}
-	injections, tally := e.s.ExecuteShardSim(shard.Index, shard.Count, workers, sim, progress)
+	injections, tally := e.s.ExecuteShardSim(shard.Index, shard.Count, e.workers, sim, m.engine())
 	flush()
 
 	stats := CacheStats{Reused: int(reused.Load()), Resimulated: int(resim.Load())}
-	if e.store != nil {
-		stats.Misses = 1
-		entry := &Entry{
-			Key: plan.Key, FaultsDigest: fd,
-			GoodOracle: good, BadOracle: bad, Limit: limit,
-			Records: records,
-		}
-		err := error(nil)
-		if commit != nil {
-			err = commit(entry)
-		} else {
-			// Stale-hit resimulation: no flight held, save directly.
-			err = e.store.Save(entry)
-		}
-		if err != nil {
-			stats.WriteErrors++
-		}
+	if save != nil {
+		stats.Add(save(&Entry{Records: records}))
 	}
-	var memo *Memo
-	if wantMemo {
-		memoImg, memoData := image()
-		memo = newMemo(c, good, limit, sel, records, memoImg, memoData)
-	}
-	return injections, tally, memo, stats, nil
+	return injections, tally, memoOf(records), stats
 }
 
 // memoGate decides whether the previous memo applies to this campaign
@@ -320,96 +325,102 @@ func memoGate(c fault.Campaign, prev *Memo, good fault.Observable, img map[uint6
 	return changed, true
 }
 
-// rebuildSolo zips a stored entry against the session's shard-local
-// fault selection, after verifying every guard that makes the zip
-// sound.
-func rebuildSolo(entry *Entry, faultsDigest string, good, bad fault.Observable, limit uint64, sel []fault.Fault) ([]fault.Injection, fault.Tally, error) {
-	if entry.FaultsDigest != faultsDigest || entry.GoodOracle != good ||
-		entry.BadOracle != bad || entry.Limit != limit || len(entry.Records) != len(sel) {
-		return nil, fault.Tally{}, errStale
-	}
-	injections := make([]fault.Injection, len(sel))
-	var tally fault.Tally
-	for i, f := range sel {
-		injections[i] = fault.Injection{Fault: f, Outcome: entry.Records[i].Outcome}
-		tally[entry.Records[i].Outcome]++
-	}
-	return injections, tally, nil
+// stage describes one exact-key stage of a plan over the completed
+// lower stages — the order-2 pair sweep or the order-3 triple sweep —
+// for runStage: T is the enumerated item, I its injection.
+type stage[T, I any] struct {
+	order  int
+	budget int // the plan's enumeration budget, already defaulted
+	items  []T // the full (unsharded) enumeration
+	digest func([]T) string
+
+	// execute simulates the stage's shard, reporting each completed
+	// item to progress (nil when no callback is configured).
+	execute func(progress func(total int)) ([]I, fault.Tally)
+	inject  func(T, fault.Outcome) I // rebuilds an injection from a stored outcome
+	outcome func(I) fault.Outcome
 }
 
-// pairs executes the order-2 stage of a plan over an already-executed
-// solo sweep: exact-key store reuse only (pair runs fork mid-trace
-// snapshots of a faulted machine, so no per-pair footprint is
-// recorded).
-func (e *executor) pairs(c fault.Campaign, shard Shard, workers, maxPairs int, solo []fault.Injection, progress func(done, total int)) ([]fault.PairInjection, fault.Tally, CacheStats, error) {
+// runStage executes one exact-key stage: plan and digest the
+// enumeration, Store.Acquire, replay a matching entry or re-simulate
+// and save. Reuse is exact-key only — pair and triple runs fork
+// mid-trace snapshots of a faulted machine, so no per-item footprint
+// is recorded. Without a store it skips the plan and digests entirely:
+// the plain simulation hot path, like solo()'s.
+func runStage[T, I any](e *executor, c fault.Campaign, shard Shard, m *meter, st stage[T, I]) ([]I, fault.Tally, CacheStats) {
+	if e.store == nil {
+		injections, tally := st.execute(m.engine())
+		return injections, tally, CacheStats{}
+	}
+	sel := shardSelect(st.items, shard)
+	entry, save := e.acquire(NewPlan(c, shard, st.order, st.budget), st.digest(st.items), len(sel),
+		func(en *Entry) int { return len(en.Outcomes) })
+	if entry != nil {
+		out := make([]I, len(sel))
+		var tally fault.Tally
+		for i, it := range sel {
+			out[i] = st.inject(it, entry.Outcomes[i])
+			tally[entry.Outcomes[i]]++
+		}
+		m.complete(len(sel))
+		return out, tally, CacheStats{Hits: 1}
+	}
+	injections, tally := st.execute(m.engine())
+	outcomes := make([]fault.Outcome, len(injections))
+	for i, in := range injections {
+		outcomes[i] = st.outcome(in)
+	}
+	return injections, tally, save(&Entry{Outcomes: outcomes})
+}
+
+// pairStage is the order-2 stage over a completed solo sweep. A pruned
+// run keeps its PairPruner on the executor so a following order-3
+// stage shares the reference digests and equivalence classes already
+// discovered.
+func (e *executor) pairStage(solo []fault.Injection, maxPairs int, shard Shard) stage[fault.FaultPair, fault.PairInjection] {
 	if maxPairs <= 0 {
 		maxPairs = fault.DefaultMaxPairs
 	}
 	pairs := fault.EnumeratePairs(solo, maxPairs)
-	if e.store == nil {
-		// No cache: skip the plan/pair digests entirely — the plain
-		// simulation hot path, like solo()'s.
-		injections, tally := e.executePairShard(pairs, shard, workers, solo, progress)
-		return injections, tally, CacheStats{}, nil
-	}
-
-	plan := NewPlan(c, shard, 2, maxPairs)
-	pd := digestPairs(pairs)
-	sel := shardSelect(pairs, shard)
-	good, bad := e.s.Oracles()
-	limit := e.s.InjectionLimit()
-
-	entry, commit := e.store.Acquire(plan.Key)
-	if entry != nil {
-		if entry.PairsDigest == pd && entry.GoodOracle == good && entry.BadOracle == bad &&
-			entry.Limit == limit && len(entry.PairRecords) == len(sel) {
-			out := make([]fault.PairInjection, len(sel))
-			var tally fault.Tally
-			for i, p := range sel {
-				o := entry.PairRecords[i]
-				out[i] = fault.PairInjection{Pair: p, Outcome: o}
-				tally[o]++
+	return stage[fault.FaultPair, fault.PairInjection]{
+		order: 2, budget: maxPairs, items: pairs, digest: digestPairs,
+		execute: func(progress func(int)) ([]fault.PairInjection, fault.Tally) {
+			if !e.prune {
+				return e.s.ExecutePairShard(pairs, shard.Index, shard.Count, e.workers, progress)
 			}
-			if progress != nil {
-				progress(len(sel), len(sel))
-			}
-			return out, tally, CacheStats{Hits: 1}, nil
-		}
-		// Stale entry: fall through and re-simulate.
+			e.pairPruner = e.s.NewPairPruner(solo)
+			return e.s.ExecutePairShardPruned(pairs, e.pairPruner, shard.Index, shard.Count, e.workers, progress)
+		},
+		inject: func(p fault.FaultPair, o fault.Outcome) fault.PairInjection {
+			return fault.PairInjection{Pair: p, Outcome: o}
+		},
+		outcome: func(in fault.PairInjection) fault.Outcome { return in.Outcome },
 	}
-
-	injections, tally := e.executePairShard(pairs, shard, workers, solo, progress)
-	stats := CacheStats{Misses: 1}
-	outcomes := make([]fault.Outcome, len(injections))
-	for i, pi := range injections {
-		outcomes[i] = pi.Outcome
-	}
-	saved := &Entry{
-		Key: plan.Key, FaultsDigest: digestFaults(e.s.Faults()), PairsDigest: pd,
-		GoodOracle: good, BadOracle: bad, Limit: limit,
-		PairRecords: outcomes,
-	}
-	err := error(nil)
-	if commit != nil {
-		err = commit(saved)
-	} else {
-		err = e.store.Save(saved)
-	}
-	if err != nil {
-		stats.WriteErrors++
-	}
-	return injections, tally, stats, nil
 }
 
-// executePairShard runs the engine's pair sweep, pruned or plain. A
-// pruned run keeps its PairPruner on the executor so a following
-// order-3 stage shares the reference digests and equivalence classes
-// already discovered.
-func (e *executor) executePairShard(pairs []fault.FaultPair, shard Shard, workers int, solo []fault.Injection, progress func(done, total int)) ([]fault.PairInjection, fault.Tally) {
-	if !e.prune {
-		return e.s.ExecutePairShard(pairs, shard.Index, shard.Count, workers, progress)
+// tripleStage is the order-3 stage over the completed solo and pair
+// stages. The plan's budget slot carries maxTriples — sound because
+// the triple list derives from the solo sweep alone, independent of
+// the pair budget. Triples always run pruned, on the pair stage's
+// PairPruner (built here when the pair stage was answered from the
+// store).
+func (e *executor) tripleStage(solo []fault.Injection, pairs []fault.PairInjection, maxTriples int, shard Shard) stage[fault.FaultTriple, fault.TripleInjection] {
+	if maxTriples <= 0 {
+		maxTriples = fault.DefaultMaxTriples
 	}
-	pr := e.s.NewPairPruner(solo)
-	e.pairPruner = pr
-	return e.s.ExecutePairShardPruned(pairs, pr, shard.Index, shard.Count, workers, progress)
+	triples := fault.EnumerateTriples(solo, maxTriples)
+	return stage[fault.FaultTriple, fault.TripleInjection]{
+		order: 3, budget: maxTriples, items: triples, digest: digestTriples,
+		execute: func(progress func(int)) ([]fault.TripleInjection, fault.Tally) {
+			if e.pairPruner == nil {
+				e.pairPruner = e.s.NewPairPruner(solo)
+			}
+			e.pairPruner.SetPairOutcomes(pairs)
+			return e.s.ExecuteTripleShard(triples, e.pairPruner, shard.Index, shard.Count, e.workers, progress)
+		},
+		inject: func(t fault.FaultTriple, o fault.Outcome) fault.TripleInjection {
+			return fault.TripleInjection{Triple: t, Outcome: o}
+		},
+		outcome: func(in fault.TripleInjection) fault.Outcome { return in.Outcome },
+	}
 }

@@ -79,8 +79,14 @@ type Summary struct {
 	Prune *fault.PruneStats `json:"prune,omitempty"`
 }
 
-// Summarize digests a report for export.
-func Summarize(name string, rep *fault.Report) Summary {
+// Summarize digests a run for export: the order-1 sweep, with the pair
+// and triple stages attached when the run reached them. Stage counts
+// derive from the injection lists themselves, so summaries stay
+// correct for any report, not just ones whose tally the engine
+// populated. Execution accounting (Cache, Prune, ElapsedMS) is left to
+// the caller.
+func Summarize(name string, r *RunResult) Summary {
+	rep := r.Report
 	s := Summary{
 		Name:       name,
 		TraceLen:   rep.Trace.Len(),
@@ -124,50 +130,22 @@ func Summarize(name string, rep *fault.Report) Summary {
 			Successes: site.Count,
 		})
 	}
-	return s
-}
-
-// SummarizeOrder2 digests an order-2 campaign: the solo sweep summary
-// with the pair stage attached. Counts derive from the pair list itself
-// (one pass), so summaries stay correct for any Order2Report, not just
-// ones whose tally the engine populated.
-func SummarizeOrder2(name string, rep *Order2Report) Summary {
-	s := Summarize(name, rep.Solo)
-	o2 := &Order2Summary{Pairs: len(rep.Pairs)}
-	for _, p := range rep.Pairs {
-		switch p.Outcome {
-		case fault.OutcomeSuccess:
-			o2.Success++
-		case fault.OutcomeDetected:
-			o2.Detected++
-		case fault.OutcomeCrash:
-			o2.Crash++
-		case fault.OutcomeIgnored:
-			o2.Ignored++
+	if r.Order2 != nil {
+		var t fault.Tally
+		for _, p := range r.Order2.Pairs {
+			t[p.Outcome]++
 		}
+		s.Order2 = &Order2Summary{Pairs: len(r.Order2.Pairs), Success: t[fault.OutcomeSuccess],
+			Detected: t[fault.OutcomeDetected], Crash: t[fault.OutcomeCrash], Ignored: t[fault.OutcomeIgnored]}
 	}
-	s.Order2 = o2
-	return s
-}
-
-// SummarizeOrder3 digests an order-3 campaign: the order-2 summary of
-// the lower stages with the triple stage attached.
-func SummarizeOrder3(name string, rep *Order3Report) Summary {
-	s := SummarizeOrder2(name, rep.Order2())
-	o3 := &Order3Summary{Triples: len(rep.Triples)}
-	for _, t := range rep.Triples {
-		switch t.Outcome {
-		case fault.OutcomeSuccess:
-			o3.Success++
-		case fault.OutcomeDetected:
-			o3.Detected++
-		case fault.OutcomeCrash:
-			o3.Crash++
-		case fault.OutcomeIgnored:
-			o3.Ignored++
+	if r.Order3 != nil {
+		var t fault.Tally
+		for _, tr := range r.Order3.Triples {
+			t[tr.Outcome]++
 		}
+		s.Order3 = &Order3Summary{Triples: len(r.Order3.Triples), Success: t[fault.OutcomeSuccess],
+			Detected: t[fault.OutcomeDetected], Crash: t[fault.OutcomeCrash], Ignored: t[fault.OutcomeIgnored]}
 	}
-	s.Order3 = o3
 	return s
 }
 

@@ -26,8 +26,10 @@ import (
 // History: 1 = initial plan/execute/store split; 2 = read/write counts
 // above maxIOChunk clamp to a partial transfer (Linux MAX_RW_COUNT
 // semantics) instead of returning -EFAULT, changing outcomes of faults
-// that corrupt a length register.
-const planSchema = 2
+// that corrupt a length register; 3 = one stage per entry: the pair
+// and triple digests and outcome vectors fold into Entry.Digest and
+// Entry.Outcomes.
+const planSchema = 3
 
 // Plan is a content-addressed campaign execution: the campaign itself
 // plus the execution parameters that change its results (shard, fault

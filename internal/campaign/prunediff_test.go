@@ -55,15 +55,15 @@ func TestPruneDifferentialOrder1(t *testing.T) {
 		for _, models := range modelSets {
 			label := fmt.Sprintf("%s/%v", name, models)
 			c := campaigntest.CaseCampaign(t, name, models, diffMaxFaults)
-			plain, err := campaign.Run(c, campaign.Options{})
+			plain, err := campaign.Run(c, 1, campaign.Options{})
 			if err != nil {
 				t.Fatalf("%s: exhaustive: %v", label, err)
 			}
-			pruned, err := campaign.Run(c, campaign.Options{Prune: true})
+			pruned, err := campaign.Run(c, 1, campaign.Options{Prune: true})
 			if err != nil {
 				t.Fatalf("%s: pruned: %v", label, err)
 			}
-			campaigntest.AssertReportsEqual(t, label, plain, pruned)
+			campaigntest.AssertReportsEqual(t, label, plain.Report, pruned.Report)
 		}
 	}
 }
@@ -78,20 +78,20 @@ func TestPruneDifferentialOrder2(t *testing.T) {
 			label := fmt.Sprintf("%s/%v", name, models)
 			c := campaigntest.CaseCampaign(t, name, models, diffMaxFaults)
 			opt := campaign.Options{MaxPairs: diffMaxPairs}
-			plain, err := campaign.RunOrder2(c, opt)
+			plain, err := campaign.Run(c, 2, opt)
 			if err != nil {
 				t.Fatalf("%s: exhaustive: %v", label, err)
 			}
 			opt.Prune = true
-			pruned, err := campaign.RunOrder2Result(c, opt)
+			pruned, err := campaign.Run(c, 2, opt)
 			if err != nil {
 				t.Fatalf("%s: pruned: %v", label, err)
 			}
-			campaigntest.AssertOrder2Equal(t, label, plain, pruned.Report)
+			campaigntest.AssertOrder2Equal(t, label, plain.Order2, pruned.Order2)
 			if pruned.Prune == nil {
 				t.Fatalf("%s: pruned run reported no PruneStats", label)
 			}
-			want := len(plain.Solo.Injections) + len(plain.Pairs)
+			want := len(plain.Report.Injections) + len(plain.Order2.Pairs)
 			if got := pruned.Prune.Total(); got != want {
 				t.Fatalf("%s: prune stats cover %d of %d injections", label, got, want)
 			}
@@ -105,19 +105,20 @@ func TestPruneDifferentialOrder2(t *testing.T) {
 func TestPruneWorkerShardInvariance(t *testing.T) {
 	c := campaigntest.CaseCampaign(t, "pincheck", fault.RegisteredModels(), diffMaxFaults)
 	baseOpt := campaign.Options{MaxPairs: diffMaxPairs}
-	plain, err := campaign.RunOrder2(c, baseOpt)
+	res, err := campaign.Run(c, 2, baseOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := res.Order2
 	for _, workers := range []int{1, 8} {
 		opt := baseOpt
 		opt.Prune = true
 		opt.Workers = workers
-		pruned, err := campaign.RunOrder2(c, opt)
+		pruned, err := campaign.Run(c, 2, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		campaigntest.AssertOrder2Equal(t, fmt.Sprintf("workers=%d", workers), plain, pruned)
+		campaigntest.AssertOrder2Equal(t, fmt.Sprintf("workers=%d", workers), plain, pruned.Order2)
 	}
 	const n = 3
 	shards := make([]*campaign.Order2Report, n)
@@ -125,11 +126,11 @@ func TestPruneWorkerShardInvariance(t *testing.T) {
 		opt := baseOpt
 		opt.Prune = true
 		opt.Shard = campaign.Shard{Index: i, Count: n}
-		rep, err := campaign.RunOrder2(c, opt)
+		res, err := campaign.Run(c, 2, opt)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		shards[i] = rep
+		shards[i] = res.Order2
 	}
 	merged, err := campaign.MergeOrder2(shards)
 	if err != nil {
@@ -149,29 +150,29 @@ func TestPruneWarmStoreReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := campaign.Options{MaxPairs: diffMaxPairs, Prune: true, Store: st}
-	cold, err := campaign.RunOrder2Result(c, opt)
+	cold, err := campaign.Run(c, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Cache.Misses == 0 {
 		t.Fatal("cold pruned run reported no store misses")
 	}
-	warm, err := campaign.RunOrder2Result(c, opt)
+	warm, err := campaign.Run(c, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaigntest.AssertOrder2Equal(t, "warm replay", cold.Report, warm.Report)
+	campaigntest.AssertOrder2Equal(t, "warm replay", cold.Order2, warm.Order2)
 	if warm.Cache.Hits == 0 {
 		t.Fatal("warm pruned run reported no store hits")
 	}
 	// Cross-mode: an exhaustive run against the same store replays the
 	// pruned run's entries — one plan key for both execution modes.
 	optPlain := campaign.Options{MaxPairs: diffMaxPairs, Store: st}
-	crossed, err := campaign.RunOrder2Result(c, optPlain)
+	crossed, err := campaign.Run(c, 2, optPlain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaigntest.AssertOrder2Equal(t, "cross-mode replay", cold.Report, crossed.Report)
+	campaigntest.AssertOrder2Equal(t, "cross-mode replay", cold.Order2, crossed.Order2)
 	if crossed.Cache.Hits == 0 {
 		t.Fatal("exhaustive warm run did not hit the pruned run's entries")
 	}
@@ -187,15 +188,15 @@ func TestPruneBudgetGateDifferential(t *testing.T) {
 	// The gate lives on the plain-simulation path (RunAll without a
 	// store), not the evidence-recording one — see Pruner.SimulateRecord.
 	c.InjectionStepLimit = 10
-	plain, err := campaign.Run(c, campaign.Options{})
+	plain, err := campaign.Run(c, 1, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := campaign.RunAll([]campaign.Job{{Name: "gate", Campaign: c}}, campaign.Options{Prune: true})
+	results := campaign.RunAll([]campaign.Job{{Name: "gate", Campaign: c}}, 1, campaign.Options{Prune: true})
 	if results[0].Err != nil {
 		t.Fatal(results[0].Err)
 	}
-	campaigntest.AssertReportsEqual(t, "short budget", plain, results[0].Report)
+	campaigntest.AssertReportsEqual(t, "short budget", plain.Report, results[0].Report)
 	st := results[0].Prune
 	if st == nil || st.StaticBudget == 0 {
 		t.Fatalf("budget gate never fired (stats %+v)", st)
@@ -225,30 +226,30 @@ func TestPruneStaticInertDifferential(t *testing.T) {
 		// cap — 800 is the smallest round budget where the tier fires
 		// on every hardened catalog case under both skip models.
 		c := campaigntest.HardenedCampaign(t, name, models, 2*diffMaxFaults)
-		plain, err := campaign.Run(c, campaign.Options{})
+		plain, err := campaign.Run(c, 1, campaign.Options{})
 		if err != nil {
 			t.Fatalf("%s: exhaustive: %v", name, err)
 		}
-		results := campaign.RunAll([]campaign.Job{{Name: name, Campaign: c}}, campaign.Options{Prune: true})
+		results := campaign.RunAll([]campaign.Job{{Name: name, Campaign: c}}, 1, campaign.Options{Prune: true})
 		if results[0].Err != nil {
 			t.Fatal(results[0].Err)
 		}
-		campaigntest.AssertReportsEqual(t, name+" order-1", plain, results[0].Report)
+		campaigntest.AssertReportsEqual(t, name+" order-1", plain.Report, results[0].Report)
 		if st := results[0].Prune; st == nil || st.StaticInert == 0 {
 			t.Errorf("%s: inert tier never fired on the hardened binary (stats %+v)", name, results[0].Prune)
 		}
 
 		opt := campaign.Options{MaxPairs: diffMaxPairs}
-		plain2, err := campaign.RunOrder2(c, opt)
+		plain2, err := campaign.Run(c, 2, opt)
 		if err != nil {
 			t.Fatalf("%s: exhaustive order-2: %v", name, err)
 		}
 		opt.Prune = true
-		pruned2, err := campaign.RunOrder2Result(c, opt)
+		pruned2, err := campaign.Run(c, 2, opt)
 		if err != nil {
 			t.Fatalf("%s: pruned order-2: %v", name, err)
 		}
-		campaigntest.AssertOrder2Equal(t, name+" order-2", plain2, pruned2.Report)
+		campaigntest.AssertOrder2Equal(t, name+" order-2", plain2.Order2, pruned2.Order2)
 		if pruned2.Prune == nil || pruned2.Prune.StaticInert == 0 {
 			t.Errorf("%s: inert tier never fired at order 2 (stats %+v)", name, pruned2.Prune)
 		}
@@ -265,19 +266,19 @@ func TestPruneStaticInertOrder3(t *testing.T) {
 		maxTriples = 64
 	}
 	c := campaigntest.HardenedCampaign(t, "pincheck", []fault.Model{fault.ModelSkip, fault.ModelMultiSkip}, diffMaxFaults)
-	res, err := campaign.RunOrder3(c, campaign.Options{MaxPairs: diffMaxPairs, MaxTriples: maxTriples})
+	res, err := campaign.Run(c, 3, campaign.Options{MaxPairs: diffMaxPairs, MaxTriples: maxTriples})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := res.Report
+	rep := res.Order3
 	if len(rep.Triples) == 0 {
 		t.Fatal("order-3 campaign enumerated no triples")
 	}
-	plain2, err := campaign.RunOrder2(c, campaign.Options{MaxPairs: diffMaxPairs})
+	plain2, err := campaign.Run(c, 2, campaign.Options{MaxPairs: diffMaxPairs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaigntest.AssertOrder2Equal(t, "hardened order-3 lower stages", plain2, rep.Order2())
+	campaigntest.AssertOrder2Equal(t, "hardened order-3 lower stages", plain2.Order2, res.Order2)
 
 	s, err := fault.NewSession(c)
 	if err != nil {
@@ -300,11 +301,11 @@ func TestRunOrder3Differential(t *testing.T) {
 		maxTriples = 128
 	}
 	c := campaigntest.CaseCampaign(t, "pincheck", []fault.Model{fault.ModelSkip, fault.ModelBitFlip}, diffMaxFaults)
-	res, err := campaign.RunOrder3(c, campaign.Options{MaxPairs: diffMaxPairs, MaxTriples: maxTriples})
+	res, err := campaign.Run(c, 3, campaign.Options{MaxPairs: diffMaxPairs, MaxTriples: maxTriples})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := res.Report
+	rep := res.Order3
 	if len(rep.Triples) == 0 {
 		t.Fatal("order-3 campaign enumerated no triples")
 	}
@@ -312,11 +313,11 @@ func TestRunOrder3Differential(t *testing.T) {
 		t.Fatal("order-3 campaign reported no pruning accounting")
 	}
 
-	plain2, err := campaign.RunOrder2(c, campaign.Options{MaxPairs: diffMaxPairs})
+	plain2, err := campaign.Run(c, 2, campaign.Options{MaxPairs: diffMaxPairs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaigntest.AssertOrder2Equal(t, "order-3 lower stages", plain2, rep.Order2())
+	campaigntest.AssertOrder2Equal(t, "order-3 lower stages", plain2.Order2, res.Order2)
 
 	s, err := fault.NewSession(c)
 	if err != nil {
@@ -340,17 +341,17 @@ func TestRunOrder3Differential(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := campaign.Options{MaxPairs: diffMaxPairs, MaxTriples: maxTriples, Store: st}
-	cold, err := campaign.RunOrder3(c, opt)
+	cold, err := campaign.Run(c, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := campaign.RunOrder3(c, opt)
+	warm, err := campaign.Run(c, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaigntest.AssertOrder2Equal(t, "order-3 store lower stages", cold.Report.Order2(), warm.Report.Order2())
-	for i := range cold.Report.Triples {
-		if cold.Report.Triples[i] != warm.Report.Triples[i] {
+	campaigntest.AssertOrder2Equal(t, "order-3 store lower stages", cold.Order2, warm.Order2)
+	for i := range cold.Order3.Triples {
+		if cold.Order3.Triples[i] != warm.Order3.Triples[i] {
 			t.Fatalf("warm triple %d differs from cold", i)
 		}
 	}

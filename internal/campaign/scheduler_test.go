@@ -94,7 +94,7 @@ func TestStoreSingleflight(t *testing.T) {
 			e, commit := st.Acquire("shared-key")
 			if commit != nil {
 				computations.Add(1)
-				e = &Entry{Key: "shared-key", FaultsDigest: "fd"}
+				e = &Entry{Key: "shared-key", Digest: "fd"}
 				if err := commit(e); err != nil {
 					t.Errorf("commit: %v", err)
 				}
@@ -107,7 +107,7 @@ func TestStoreSingleflight(t *testing.T) {
 		t.Fatalf("%d computations for one key, want 1", got)
 	}
 	for g, e := range entries {
-		if e == nil || e.FaultsDigest != "fd" {
+		if e == nil || e.Digest != "fd" {
 			t.Fatalf("goroutine %d got entry %+v", g, e)
 		}
 	}
@@ -171,16 +171,16 @@ func TestStoreWriteBehind(t *testing.T) {
 		}
 		return len(files)
 	}
-	if err := st.Save(&Entry{Key: "a", FaultsDigest: "v1"}); err != nil {
+	if err := st.Save(&Entry{Key: "a", Digest: "v1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(&Entry{Key: "a", FaultsDigest: "v2"}); err != nil {
+	if err := st.Save(&Entry{Key: "a", Digest: "v2"}); err != nil {
 		t.Fatal(err) // same key: dedup, newest wins
 	}
 	if n := onDisk(); n != 0 {
 		t.Fatalf("%d entries on disk before any flush trigger", n)
 	}
-	if e, ok := st.Lookup("a"); !ok || e.FaultsDigest != "v2" {
+	if e, ok := st.Lookup("a"); !ok || e.Digest != "v2" {
 		t.Fatalf("pending entry not visible to Lookup: %+v", e)
 	}
 	// Fill to the batch size; the flusher should drain without Flush.
@@ -208,7 +208,7 @@ func TestStoreWriteBehind(t *testing.T) {
 	}
 	// Newest-wins reached the disk, and a fresh store reads it back.
 	fresh := newTestStore(t, dir)
-	if e, ok := fresh.Lookup("a"); !ok || e.FaultsDigest != "v2" {
+	if e, ok := fresh.Lookup("a"); !ok || e.Digest != "v2" {
 		t.Fatalf("fresh store read %+v for deduped key", e)
 	}
 	// The store stays usable after Close, with synchronous saves.

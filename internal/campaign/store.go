@@ -13,7 +13,6 @@ package campaign
 import (
 	"container/list"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,26 +34,23 @@ type Record struct {
 	Pages    []uint64      `json:"pages,omitempty"`
 }
 
-// Entry is one stored campaign result: the outcome of every injection
-// of one plan, in shard-local order, plus the digests and oracles that
-// gate its reuse. Order-2 entries additionally carry the pair stage;
-// order-3 entries the triple stage.
+// Entry is one stored campaign stage: the outcome of every injection
+// of one plan, in shard-local order, plus the digest and oracles that
+// gate its reuse. The plan key includes the order, so an entry holds
+// exactly one stage: an order-1 entry carries the per-fault Records
+// (the evidence a Memo rehydrates from), an order-2 or order-3 entry
+// the Outcomes of its pairs or triples.
 type Entry struct {
-	Schema       int    `json:"schema"`
-	Key          string `json:"key"`
-	FaultsDigest string `json:"faults_digest"`
+	Schema int    `json:"schema"`
+	Key    string `json:"key"`
+	Digest string `json:"digest"` // content address of the stage's enumerated fault, pair or triple list
 
 	GoodOracle fault.Observable `json:"good_oracle"`
 	BadOracle  fault.Observable `json:"bad_oracle"`
 	Limit      uint64           `json:"injection_step_limit"`
 
-	Records []Record `json:"records"`
-
-	PairsDigest string          `json:"pairs_digest,omitempty"`
-	PairRecords []fault.Outcome `json:"pair_outcomes,omitempty"`
-
-	TriplesDigest string          `json:"triples_digest,omitempty"`
-	TripleRecords []fault.Outcome `json:"triple_outcomes,omitempty"`
+	Records  []Record        `json:"records,omitempty"`
+	Outcomes []fault.Outcome `json:"outcomes,omitempty"`
 }
 
 // CacheStats counts how a run's work was answered. Hits/Misses count
@@ -462,8 +458,3 @@ func (st *Store) Close() {
 	<-done
 	st.flushPending()
 }
-
-// errStale marks a store entry that no longer matches the session it
-// would be zipped against (enumeration drift, oracle change); callers
-// treat it as a miss.
-var errStale = errors.New("campaign: stale cache entry")

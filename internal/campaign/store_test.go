@@ -28,16 +28,17 @@ func newTestStore(t *testing.T, dir string) *Store {
 func TestCachedRunBitIdentity(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip, fault.ModelBitFlip)
-	plain, err := Run(c, Options{})
+	res, err := Run(c, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := res.Report
 	st := newTestStore(t, t.TempDir())
-	cold, err := RunIncremental(c, Options{Store: st}, nil)
+	cold, err := RunIncremental(c, 1, Options{Store: st}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunIncremental(c, Options{Store: st}, nil)
+	warm, err := RunIncremental(c, 1, Options{Store: st}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +65,12 @@ func TestCachedRunAcrossStores(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip)
 	dir := t.TempDir()
-	first, err := RunIncremental(c, Options{Store: newTestStore(t, dir)}, nil)
+	first, err := RunIncremental(c, 1, Options{Store: newTestStore(t, dir)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	second := newTestStore(t, dir)
-	warm, err := RunIncremental(c, Options{Store: second}, nil)
+	warm, err := RunIncremental(c, 1, Options{Store: second}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,21 +89,22 @@ func TestCachedOrder2BitIdentity(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip)
 	opt := Options{MaxPairs: 256}
-	plain, err := RunOrder2(c, opt)
+	res, err := Run(c, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := res.Order2
 	st := newTestStore(t, t.TempDir())
 	opt.Store = st
-	cold, err := RunOrder2Incremental(c, opt, nil)
+	cold, err := RunIncremental(c, 2, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunOrder2Incremental(c, opt, nil)
+	warm, err := RunIncremental(c, 2, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, got := range map[string]*Order2Report{"cold": cold.Report, "warm": warm.Report} {
+	for name, got := range map[string]*Order2Report{"cold": cold.Order2, "warm": warm.Order2} {
 		if !reflect.DeepEqual(plain.Solo.Injections, got.Solo.Injections) {
 			t.Errorf("%s solo sweep differs from uncached", name)
 		}
@@ -115,6 +117,85 @@ func TestCachedOrder2BitIdentity(t *testing.T) {
 	}
 	if warm.Cache.Hits != 2 || warm.Cache.Misses != 0 || warm.Cache.Resimulated != 0 {
 		t.Errorf("warm order-2 stats = %+v, want 2 hits and no simulation", warm.Cache)
+	}
+}
+
+// TestStaleEntryResimulates: a stored stage entry that no longer
+// matches the stage it would be zipped against — item-list digest,
+// oracles, injection budget, or length — is a miss at every order:
+// the stage re-simulates bit-identically to an uncached run, counts
+// one miss (the lower stages still hit), and replaces the stale entry
+// so the next run is a pure hit.
+func TestStaleEntryResimulates(t *testing.T) {
+	bin := buildMini(t)
+	c := miniCampaign(bin, fault.ModelSkip)
+	opt := Options{MaxPairs: 128, MaxTriples: 64}
+	budgets := map[int]int{1: 0, 2: opt.MaxPairs, 3: opt.MaxTriples}
+	stale := []struct {
+		name   string
+		mutate func(*Entry)
+	}{
+		{"digest", func(e *Entry) { e.Digest = "drifted" }},
+		{"good oracle", func(e *Entry) { e.GoodOracle.ExitCode++ }},
+		{"bad oracle", func(e *Entry) { e.BadOracle.Stdout += "!" }},
+		{"limit", func(e *Entry) { e.Limit++ }},
+		{"length", func(e *Entry) {
+			if e.Records != nil {
+				e.Records = append(e.Records, Record{})
+			} else {
+				e.Outcomes = append(e.Outcomes, fault.OutcomeIgnored)
+			}
+		}},
+	}
+	for order := 1; order <= 3; order++ {
+		plain, err := Run(c, order, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range stale {
+			label := fmt.Sprintf("order %d, stale %s", order, tc.name)
+			o := opt
+			o.Store = newTestStore(t, "")
+			if _, err := Run(c, order, o); err != nil {
+				t.Fatal(err)
+			}
+			key := NewPlan(c, Shard{}, order, budgets[order]).Key
+			e, ok := o.Store.Lookup(key)
+			if !ok {
+				t.Fatalf("%s: cold run stored no entry for its top stage", label)
+			}
+			bad := *e
+			tc.mutate(&bad)
+			if err := o.Store.Save(&bad); err != nil {
+				t.Fatal(err)
+			}
+
+			got, err := Run(c, order, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain.Report.Injections, got.Report.Injections) || plain.Tally != got.Tally {
+				t.Errorf("%s: solo stage differs from the uncached run", label)
+			}
+			if (plain.Order2 == nil) != (got.Order2 == nil) ||
+				plain.Order2 != nil && (!reflect.DeepEqual(plain.Order2.Pairs, got.Order2.Pairs) || plain.Order2.PairTally != got.Order2.PairTally) {
+				t.Errorf("%s: pair stage differs from the uncached run", label)
+			}
+			if (plain.Order3 == nil) != (got.Order3 == nil) ||
+				plain.Order3 != nil && (!reflect.DeepEqual(plain.Order3.Triples, got.Order3.Triples) || plain.Order3.TripleTally != got.Order3.TripleTally) {
+				t.Errorf("%s: triple stage differs from the uncached run", label)
+			}
+			if got.Cache.Misses != 1 || got.Cache.Hits != order-1 {
+				t.Errorf("%s: stats %+v, want 1 miss and %d hits", label, got.Cache, order-1)
+			}
+			again, err := Run(c, order, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Cache.Misses != 0 || again.Cache.Hits != order {
+				t.Errorf("%s: stale entry not replaced: next run %+v", label, again.Cache)
+			}
+		}
 	}
 }
 
@@ -156,12 +237,12 @@ func TestIncrementalReuseAcrossBinaries(t *testing.T) {
 		t.Fatal("variant binaries share a digest — dead tail not encoded?")
 	}
 
-	first, err := RunIncremental(campA, Options{}, nil)
+	first, err := RunIncremental(campA, 1, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unchanged binary: the memo answers everything.
-	same, err := RunIncremental(campA, Options{}, first.Memo)
+	same, err := RunIncremental(campA, 1, Options{}, first.Memo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +256,15 @@ func TestIncrementalReuseAcrossBinaries(t *testing.T) {
 	// Dead-code-only change: footprints avoid the changed page, so the
 	// memo still answers everything — and the result must equal a cold
 	// run of the changed binary.
-	cold, err := Run(campB, Options{})
+	cold, err := Run(campB, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := RunIncremental(campB, Options{}, first.Memo)
+	inc, err := RunIncremental(campB, 1, Options{}, first.Memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cold.Injections, inc.Report.Injections) {
+	if !reflect.DeepEqual(cold.Report.Injections, inc.Report.Injections) {
 		t.Fatal("incremental run differs from cold run of the changed binary")
 	}
 	// Nearly everything reuses. Not literally everything: skipping the
@@ -208,19 +289,19 @@ func TestIncrementalInvalidatesLiveCode(t *testing.T) {
 	}
 	binB := assembleT(t, src)
 
-	first, err := RunIncremental(miniCampaign(binA, fault.ModelSkip), Options{}, nil)
+	first, err := RunIncremental(miniCampaign(binA, fault.ModelSkip), 1, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(miniCampaign(binB, fault.ModelSkip), Options{})
+	cold, err := Run(miniCampaign(binB, fault.ModelSkip), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := RunIncremental(miniCampaign(binB, fault.ModelSkip), Options{}, first.Memo)
+	inc, err := RunIncremental(miniCampaign(binB, fault.ModelSkip), 1, Options{}, first.Memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cold.Injections, inc.Report.Injections) {
+	if !reflect.DeepEqual(cold.Report.Injections, inc.Report.Injections) {
 		t.Fatal("incremental run differs from cold run after live-code change")
 	}
 	if inc.Cache.Resimulated == 0 {
@@ -259,15 +340,18 @@ func TestParseShard(t *testing.T) {
 func TestMergeErrorPaths(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip)
-	full, err := Run(c, Options{})
+	res, err := Run(c, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := res.Report
 	shards := make([]*fault.Report, 2)
 	for i := range shards {
-		if shards[i], err = Run(c, Options{Shard: Shard{Index: i, Count: 2}}); err != nil {
+		res, err := Run(c, 1, Options{Shard: Shard{Index: i, Count: 2}})
+		if err != nil {
 			t.Fatal(err)
 		}
+		shards[i] = res.Report
 	}
 
 	if _, err := Merge(nil); err == nil {
@@ -309,17 +393,20 @@ func TestMergeOrder2ErrorPaths(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip)
 	opt := Options{MaxPairs: 128}
-	full, err := RunOrder2(c, opt)
+	res, err := Run(c, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := res.Order2
 	shards := make([]*Order2Report, 2)
 	for i := range shards {
 		o := opt
 		o.Shard = Shard{Index: i, Count: 2}
-		if shards[i], err = RunOrder2(c, o); err != nil {
+		res, err := Run(c, 2, o)
+		if err != nil {
 			t.Fatal(err)
 		}
+		shards[i] = res.Order2
 	}
 
 	if _, err := MergeOrder2(nil); err == nil {
@@ -363,7 +450,7 @@ func TestStoreEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry := func(key string) *Entry {
-		return &Entry{Key: key, FaultsDigest: "fd-" + key, Limit: 7,
+		return &Entry{Key: key, Digest: "fd-" + key, Limit: 7,
 			Records: []Record{{Outcome: fault.OutcomeIgnored, Steps: 3}}}
 	}
 	for _, k := range []string{"a", "b", "c"} {
@@ -428,11 +515,12 @@ func TestCappedStoreReplaysBitIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(c, Options{})
+	res, err := Run(c, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunIncremental(c, Options{Store: tiny}, nil)
+	plain := res.Report
+	cold, err := RunIncremental(c, 1, Options{Store: tiny}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +530,7 @@ func TestCappedStoreReplaysBitIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm, err := RunIncremental(c, Options{Store: tiny}, nil)
+	warm, err := RunIncremental(c, 1, Options{Store: tiny}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

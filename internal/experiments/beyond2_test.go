@@ -88,10 +88,11 @@ func TestBeyond2Determinism(t *testing.T) {
 	}
 	opt := campaign.Options{MaxPairs: beyond2MaxPairs}
 
-	ref, err := campaign.RunOrder2(camp, opt)
+	res, err := campaign.Run(camp, 2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := res.Order2
 	if n := ref.PairCount(fault.OutcomeSuccess); n != 0 {
 		t.Fatalf("%d successful pairs on the skip-window binary", n)
 	}
@@ -100,10 +101,11 @@ func TestBeyond2Determinism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		o := opt
 		o.Workers = workers
-		got, err := campaign.RunOrder2(camp, o)
+		res, err := campaign.Run(camp, 2, o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := res.Order2
 		if len(got.Pairs) != len(ref.Pairs) {
 			t.Fatalf("workers=%d: %d pairs vs %d", workers, len(got.Pairs), len(ref.Pairs))
 		}
@@ -120,9 +122,11 @@ func TestBeyond2Determinism(t *testing.T) {
 	for i := 0; i < shards; i++ {
 		o := opt
 		o.Shard = campaign.Shard{Index: i, Count: shards}
-		if parts[i], err = campaign.RunOrder2(camp, o); err != nil {
+		res, err := campaign.Run(camp, 2, o)
+		if err != nil {
 			t.Fatal(err)
 		}
+		parts[i] = res.Order2
 	}
 	merged, err := campaign.MergeOrder2(parts)
 	if err != nil {

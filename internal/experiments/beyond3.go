@@ -92,18 +92,17 @@ func TableBeyond3() (*report.Table, []Beyond3Data, error) {
 			}
 			opt := campOptions(beyond2MaxPairs)
 			opt.MaxTriples = beyond3MaxTriples
-			res, err := campaign.RunOrder3(camp, opt)
+			res, err := campaign.Run(camp, 3, opt)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s/%s order-3 campaign: %w", c.Name, v.name, err)
 			}
-			rep := res.Report
 			d := Beyond3Data{
 				Case: c.Name, Pipeline: v.name,
-				Pairs:         len(rep.Pairs),
-				PairSuccess:   rep.Order2().PairCount(fault.OutcomeSuccess),
-				Triples:       len(rep.Triples),
-				TripleSuccess: rep.TripleCount(fault.OutcomeSuccess),
-				TripleDetect:  rep.TripleCount(fault.OutcomeDetected),
+				Pairs:         len(res.Order2.Pairs),
+				PairSuccess:   res.Order2.PairCount(fault.OutcomeSuccess),
+				Triples:       len(res.Order3.Triples),
+				TripleSuccess: res.Order3.TripleCount(fault.OutcomeSuccess),
+				TripleDetect:  res.Order3.TripleCount(fault.OutcomeDetected),
 			}
 			if res.Prune != nil {
 				d.Pruned = res.Prune.Pruned()

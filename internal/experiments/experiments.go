@@ -12,7 +12,6 @@ import (
 	"github.com/r2r/reinforce/internal/asm"
 	"github.com/r2r/reinforce/internal/campaign"
 	"github.com/r2r/reinforce/internal/cases"
-	"github.com/r2r/reinforce/internal/core"
 	"github.com/r2r/reinforce/internal/decode"
 	"github.com/r2r/reinforce/internal/elf"
 	"github.com/r2r/reinforce/internal/fault"
@@ -134,10 +133,10 @@ func TableIV() (*report.Table, *TableIVData, error) {
 		Header: []string{"level", "paper (before)", "paper (after)", "measured (before)", "measured (after)"},
 	}
 	tab.AddRow("compiler IR",
-		paperMix(core.PaperTableIV.IRBefore), paperMix(core.PaperTableIV.IRAfter),
+		paperMix(PaperTableIV.IRBefore), paperMix(PaperTableIV.IRAfter),
 		report.MixString(data.IRBefore, keysIR), report.MixString(data.IRAfter, keysIR))
 	tab.AddRow("x86-64",
-		paperMix(core.PaperTableIV.X86Before), paperMix(core.PaperTableIV.X86After),
+		paperMix(PaperTableIV.X86Before), paperMix(PaperTableIV.X86After),
 		report.MixString(data.X86Before, keysX86), report.MixString(data.X86After, keysX86))
 	tab.AddNote("measured mixes are whole-branch-construct counts; absolute numbers differ from LLVM's lowering, the shape (≈10x instruction growth per protected branch) matches")
 	return tab, data, nil
@@ -176,7 +175,7 @@ func branchMixX86(mix map[string]int) map[string]int {
 	return out
 }
 
-func paperMix(counts []core.InstCount) string {
+func paperMix(counts []InstCount) string {
 	s := ""
 	for i, c := range counts {
 		if i > 0 {
@@ -243,7 +242,7 @@ func TableV() (*report.Table, []TableVData, error) {
 			FPConverged:    len(fp.Final.Successful()) == 0 || fp.Overhead() > 0,
 		}
 		out = append(out, d)
-		paper := core.PaperTableV[c.Name]
+		paper := PaperTableV[c.Name]
 		tab.AddRow(c.Name,
 			report.Pct(paper.FaulterPatcher), report.Pct(d.FaulterPatcher),
 			report.Pct(paper.Hybrid), report.Pct(d.Hybrid))
@@ -517,15 +516,17 @@ func TableBeyond() (*report.Table, []BeyondData, error) {
 				StepLimit: stepLimit, DedupSites: true,
 			}
 			camp.Models = beyondModels
-			rep, err := campaign.Run(camp, campOptions(0))
+			res, err := campaign.Run(camp, 1, campOptions(0))
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s/%s beyond campaign: %w", c.Name, v.name, err)
 			}
+			rep := res.Report
 			camp.Models = []fault.Model{fault.ModelSkip}
-			o2, err := campaign.RunOrder2(camp, campOptions(beyondMaxPairs))
+			res2, err := campaign.Run(camp, 2, campOptions(beyondMaxPairs))
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s/%s order-2 campaign: %w", c.Name, v.name, err)
 			}
+			o2 := res2.Order2
 			d := BeyondData{
 				Case: c.Name, Pipeline: v.name,
 				Injections:   map[fault.Model]int{},
@@ -644,15 +645,17 @@ func TableBeyond2() (*report.Table, []Beyond2Data, error) {
 				StepLimit: stepLimit, DedupSites: true,
 			}
 			camp.Models = []fault.Model{fault.ModelMultiSkip}
-			ms, err := campaign.Run(camp, campOptions(0))
+			res, err := campaign.Run(camp, 1, campOptions(0))
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s/%s multi-skip campaign: %w", c.Name, v.name, err)
 			}
+			ms := res.Report
 			camp.Models = skipOnly
-			o2, err := campaign.RunOrder2(camp, campOptions(beyond2MaxPairs))
+			res2, err := campaign.Run(camp, 2, campOptions(beyond2MaxPairs))
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s/%s order-2 campaign: %w", c.Name, v.name, err)
 			}
+			o2 := res2.Order2
 			d := Beyond2Data{
 				Case: c.Name, Pipeline: v.name,
 				MultiSkipInj:     len(ms.Injections),
@@ -715,7 +718,7 @@ func Figures() (*report.Table, *FigureData, error) {
 	}
 	data.ValidationBlocks = data.BlocksAfter - data.BlocksBefore - data.FaultRespBlocks
 
-	shape := core.PaperFigure5
+	shape := PaperFigure5
 	tab := &report.Table{
 		Title:  "Figures 4 & 5 — CFG of one conditional branch, before and after hardening",
 		Header: []string{"metric", "paper", "measured"},

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"github.com/r2r/reinforce/internal/core"
 	"github.com/r2r/reinforce/internal/fault"
 )
 
@@ -60,7 +59,7 @@ func TestTableV(t *testing.T) {
 			t.Errorf("%s: hybrid (%.1f%%) not costlier than F+P (%.1f%%)",
 				d.Case, d.Hybrid, d.FaulterPatcher)
 		}
-		if d.FaulterPatcher >= core.PaperDuplicationMinPct {
+		if d.FaulterPatcher >= PaperDuplicationMinPct {
 			t.Errorf("%s: F+P overhead %.1f%% at duplication level", d.Case, d.FaulterPatcher)
 		}
 	}
@@ -100,7 +99,7 @@ func TestClaimBitflip(t *testing.T) {
 			continue
 		}
 		reduction := 1 - float64(d.PointsAfter)/float64(d.PointsBefore)
-		if reduction < core.PaperBitflipReduction {
+		if reduction < PaperBitflipReduction {
 			t.Errorf("%s/%s: bitflip reduction %.0f%% below the paper's 50%% (%d -> %d)",
 				d.Case, d.Pipeline, reduction*100, d.PointsBefore, d.PointsAfter)
 		}
@@ -190,7 +189,7 @@ func TestFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", tab)
-	shape := core.PaperFigure5
+	shape := PaperFigure5
 	if data.ValidationBlocks != shape.ValidationPerEdge*shape.EdgesPerBranch {
 		t.Errorf("validation blocks = %d, want %d", data.ValidationBlocks,
 			shape.ValidationPerEdge*shape.EdgesPerBranch)

@@ -1,27 +1,8 @@
-// Package core holds the experiment kernel shared by the benchmark
-// harness, the report generator, and the CLI: the identifiers of every
-// reproduced table/figure/claim and the values the paper reports for
-// them, so each regeneration site compares against a single source of
-// truth.
-package core
+package experiments
 
-// Experiment identifies a reproduced artifact of the paper.
-type Experiment string
-
-// The paper's evaluation artifacts (see docs/EXPERIMENTS.md).
-const (
-	TableI     Experiment = "table-1"       // mov protection pattern
-	TableII    Experiment = "table-2"       // cmp protection pattern
-	TableIII   Experiment = "table-3"       // jcc protection pattern
-	TableIV    Experiment = "table-4"       // qualitative branch-hardening overhead
-	TableV     Experiment = "table-5"       // code-size overhead per pipeline
-	ClaimSkip  Experiment = "claim-skip"    // §V-C: skip faults fully resolved
-	ClaimFlip  Experiment = "claim-bitflip" // §V-C: bit-flip points halved
-	ClaimClass Experiment = "claim-class"   // §V-C: vulns cluster on mov/cmp/jcc
-	ClaimDup   Experiment = "claim-dup"     // §V-C: duplication >= 300% size
-	Figure4    Experiment = "figure-4"      // CFG of a plain conditional branch
-	Figure5    Experiment = "figure-5"      // CFG of the hardened branch
-)
+// The values the paper reports for the reproduced tables, figures and
+// claims, so each regeneration site compares against a single source
+// of truth.
 
 // PaperOverheads is Table V as printed: code-size overhead percentages.
 type PaperOverheads struct {
@@ -80,11 +61,3 @@ type Figure5Shape struct {
 
 // PaperFigure5 is Fig. 5's structure.
 var PaperFigure5 = Figure5Shape{ValidationPerEdge: 2, FaultRespPerEdge: 1, EdgesPerBranch: 2}
-
-// OverheadPct converts original/hardened sizes to a percentage.
-func OverheadPct(original, hardened int) float64 {
-	if original == 0 {
-		return 0
-	}
-	return 100 * float64(hardened-original) / float64(original)
-}

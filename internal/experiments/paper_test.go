@@ -1,23 +1,6 @@
-package core
+package experiments
 
 import "testing"
-
-func TestOverheadPct(t *testing.T) {
-	tests := []struct {
-		orig, hardened int
-		want           float64
-	}{
-		{100, 120, 20},
-		{100, 100, 0},
-		{100, 400, 300},
-		{0, 50, 0}, // degenerate input guarded
-	}
-	for _, tt := range tests {
-		if got := OverheadPct(tt.orig, tt.hardened); got != tt.want {
-			t.Errorf("OverheadPct(%d,%d) = %v, want %v", tt.orig, tt.hardened, got, tt.want)
-		}
-	}
-}
 
 func TestPaperReferenceValues(t *testing.T) {
 	// Pin the paper's numbers: these are transcription constants and

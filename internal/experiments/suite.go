@@ -159,14 +159,14 @@ func (s *suite) baselineFor(c *cases.Case, models []fault.Model) (*fault.Report,
 	defer s.mu.Unlock()
 	full, ok := s.baseline[c.Name]
 	if !ok {
-		var err error
-		full, err = campaign.Run(fault.Campaign{
+		res, err := campaign.Run(fault.Campaign{
 			Binary: c.MustBuild(), Good: c.Good, Bad: c.Bad,
 			Models: bothModels, StepLimit: stepLimit,
-		}, campOptions(0))
+		}, 1, campOptions(0))
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline campaign: %w", c.Name, err)
 		}
+		full = res.Report
 		s.baseline[c.Name] = full
 	}
 	return full.FilterModels(models...), nil

@@ -11,7 +11,6 @@ package fault
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/r2r/reinforce/internal/emu"
 )
@@ -191,7 +190,7 @@ func (s *Session) runPairGroup(g *pairGroup, sel []FaultPair, outcomes []Outcome
 // inside the first's effect window) take the per-pair SimulatePair
 // path. Results land at fixed positions and are bit-identical to the
 // per-pair (and cold) path regardless of worker count or grouping.
-func (s *Session) ExecutePairShard(pairs []FaultPair, shardIndex, shardCount, workers int, progress func(done, total int)) ([]PairInjection, Tally) {
+func (s *Session) ExecutePairShard(pairs []FaultPair, shardIndex, shardCount, workers int, progress func(total int)) ([]PairInjection, Tally) {
 	return s.executePairShard(pairs, nil, shardIndex, shardCount, workers, progress)
 }
 
@@ -200,7 +199,7 @@ func (s *Session) ExecutePairShard(pairs []FaultPair, shardIndex, shardCount, wo
 // The pruner only changes how a group's forks are classified — by
 // digest-based inheritance where sound, simulation otherwise — never
 // which pairs run or what their outcomes are.
-func (s *Session) executePairShard(pairs []FaultPair, pr *PairPruner, shardIndex, shardCount, workers int, progress func(done, total int)) ([]PairInjection, Tally) {
+func (s *Session) executePairShard(pairs []FaultPair, pr *PairPruner, shardIndex, shardCount, workers int, progress func(total int)) ([]PairInjection, Tally) {
 	sel := ShardSelect(pairs, shardIndex, shardCount)
 	outcomes := make([]Outcome, len(sel))
 	if len(sel) == 0 {
@@ -232,10 +231,9 @@ func (s *Session) executePairShard(pairs []FaultPair, pr *PairPruner, shardIndex
 	// one unit (its snapshot tree shares one resumed prefix), so chunk
 	// boundaries never split a tree.
 	units := len(groups) + len(loose)
-	var done atomic.Int64
 	tick := func() {
 		if progress != nil {
-			progress(int(done.Add(1)), len(sel))
+			progress(len(sel))
 		}
 	}
 	var mu sync.Mutex

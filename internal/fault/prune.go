@@ -404,6 +404,6 @@ func (s *Session) runPairGroupPruned(pr *PairPruner, g *pairGroup, sel []FaultPa
 // bit-identical to ExecutePairShard (and SimulatePair / the cold
 // path): inheritance only substitutes outcomes of provably identical
 // continuations. Only the cost and the PruneStats change.
-func (s *Session) ExecutePairShardPruned(pairs []FaultPair, pr *PairPruner, shardIndex, shardCount, workers int, progress func(done, total int)) ([]PairInjection, Tally) {
+func (s *Session) ExecutePairShardPruned(pairs []FaultPair, pr *PairPruner, shardIndex, shardCount, workers int, progress func(total int)) ([]PairInjection, Tally) {
 	return s.executePairShard(pairs, pr, shardIndex, shardCount, workers, progress)
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/r2r/reinforce/internal/decode"
 	"github.com/r2r/reinforce/internal/emu"
@@ -542,10 +541,11 @@ func (t *Tally) Add(u Tally) {
 // worker pool; results land at fixed slice positions, so the returned
 // injections are bit-identical regardless of worker count.
 //
-// progress, when non-nil, is invoked after every completed injection
-// with the shard-local completion count; it may be called from multiple
-// goroutines concurrently.
-func (s *Session) ExecuteShard(shardIndex, shardCount, workers int, progress func(done, total int)) ([]Injection, Tally) {
+// progress, when non-nil, is invoked once per completed injection with
+// the shard's injection total; it may be called from multiple
+// goroutines concurrently, so counting is the caller's (see
+// campaign.Options.Progress).
+func (s *Session) ExecuteShard(shardIndex, shardCount, workers int, progress func(total int)) ([]Injection, Tally) {
 	return s.ExecuteShardSim(shardIndex, shardCount, workers, s.Simulate, progress)
 }
 
@@ -555,7 +555,7 @@ func (s *Session) ExecuteShard(shardIndex, shardCount, workers int, progress fun
 // SimulateRecord on a miss) while keeping the engine's scheduling,
 // sharding, and bit-identity guarantees. sim must be safe for
 // concurrent use and deterministic, like Simulate.
-func (s *Session) ExecuteShardSim(shardIndex, shardCount, workers int, sim func(Fault) Outcome, progress func(done, total int)) ([]Injection, Tally) {
+func (s *Session) ExecuteShardSim(shardIndex, shardCount, workers int, sim func(Fault) Outcome, progress func(total int)) ([]Injection, Tally) {
 	sel, outcomes, tally := runShard(s.faults, shardIndex, shardCount, s.executePool(workers), sim, progress)
 	out := make([]Injection, len(sel))
 	for i, f := range sel {
@@ -605,14 +605,13 @@ func ShardSelect[T any](items []T, index, count int) []T {
 // fixed positions and the tally is order-insensitive, so results are
 // bit-identical regardless of worker count, chunking, or stealing.
 // Both the order-1 fault sweep and the order-2 pair sweep run on it.
-func runShard[T any](items []T, shardIndex, shardCount int, pool Pool, sim func(T) Outcome, progress func(done, total int)) ([]T, []Outcome, Tally) {
+func runShard[T any](items []T, shardIndex, shardCount int, pool Pool, sim func(T) Outcome, progress func(total int)) ([]T, []Outcome, Tally) {
 	sel := ShardSelect(items, shardIndex, shardCount)
 	outcomes := make([]Outcome, len(sel))
 	if len(sel) == 0 {
 		return sel, outcomes, Tally{}
 	}
 
-	var done atomic.Int64
 	var mu sync.Mutex
 	var total Tally
 	pool.Execute(len(sel), func(lo, hi int) {
@@ -622,7 +621,7 @@ func runShard[T any](items []T, shardIndex, shardCount int, pool Pool, sim func(
 			outcomes[i] = o
 			local[o]++
 			if progress != nil {
-				progress(int(done.Add(1)), len(sel))
+				progress(len(sel))
 			}
 		}
 		mu.Lock()

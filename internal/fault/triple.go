@@ -10,7 +10,6 @@ package fault
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/r2r/reinforce/internal/emu"
 )
@@ -242,7 +241,7 @@ func (s *Session) runTripleGroup(pr *PairPruner, g *tripleGroup, sel []FaultTrip
 // path. Results land at fixed positions and are bit-identical to
 // SimulateTriple regardless of worker count, grouping, or what the
 // pruner inherited.
-func (s *Session) ExecuteTripleShard(triples []FaultTriple, pr *PairPruner, shardIndex, shardCount, workers int, progress func(done, total int)) ([]TripleInjection, Tally) {
+func (s *Session) ExecuteTripleShard(triples []FaultTriple, pr *PairPruner, shardIndex, shardCount, workers int, progress func(total int)) ([]TripleInjection, Tally) {
 	sel := ShardSelect(triples, shardIndex, shardCount)
 	outcomes := make([]Outcome, len(sel))
 	if len(sel) == 0 {
@@ -268,10 +267,9 @@ func (s *Session) ExecuteTripleShard(triples []FaultTriple, pr *PairPruner, shar
 	}
 
 	units := len(groups) + len(loose)
-	var done atomic.Int64
 	tick := func() {
 		if progress != nil {
-			progress(int(done.Add(1)), len(sel))
+			progress(len(sel))
 		}
 	}
 	var mu sync.Mutex

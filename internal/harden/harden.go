@@ -230,7 +230,7 @@ func Evaluate(original, hardened *elf.Binary, good, bad []byte, models []fault.M
 	results := campaign.RunAll([]campaign.Job{
 		{Name: "original", Campaign: camp(original)},
 		{Name: "hardened", Campaign: camp(hardened)},
-	}, campaign.Options{})
+	}, 1, campaign.Options{})
 	for _, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("harden: %s campaign: %w", r.Name, r.Err)
@@ -258,18 +258,22 @@ func (e *Order2Evaluation) PairSuccessAfter() int {
 	return e.After.PairCount(fault.OutcomeSuccess)
 }
 
-// EvaluateOrder2 runs the same order-2 campaign (see campaign.RunOrder2)
+// EvaluateOrder2 runs the same order-2 campaign (see campaign.Run)
 // on the original and hardened binaries: identical models, step budget,
 // and pair cap, so the two pair sweeps are comparable.
 func EvaluateOrder2(original, hardened *elf.Binary, good, bad []byte, models []fault.Model, stepLimit uint64, maxPairs int) (*Order2Evaluation, error) {
 	run := func(b *elf.Binary) (*campaign.Order2Report, error) {
-		return campaign.RunOrder2(fault.Campaign{
+		res, err := campaign.Run(fault.Campaign{
 			Binary:    b,
 			Good:      good,
 			Bad:       bad,
 			Models:    models,
 			StepLimit: stepLimit,
-		}, campaign.Options{MaxPairs: maxPairs})
+		}, 2, campaign.Options{MaxPairs: maxPairs})
+		if err != nil {
+			return nil, err
+		}
+		return res.Order2, nil
 	}
 	before, err := run(original)
 	if err != nil {
@@ -292,9 +296,9 @@ func EvaluateAgainst(before *fault.Report, hardened *elf.Binary, good, bad []byt
 		Bad:       bad,
 		Models:    models,
 		StepLimit: stepLimit,
-	}, campaign.Options{})
+	}, 1, campaign.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("harden: hardened campaign: %w", err)
 	}
-	return &Evaluation{Before: before, After: after}, nil
+	return &Evaluation{Before: before, After: after.Report}, nil
 }

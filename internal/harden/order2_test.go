@@ -52,10 +52,11 @@ func TestHybridSkipWindowOrder2(t *testing.T) {
 		Binary: res.Binary, Good: c.Good, Bad: c.Bad,
 		Models: []fault.Model{fault.ModelSkip}, StepLimit: 32 << 20, DedupSites: true,
 	}
-	o2, err := campaign.RunOrder2(camp, campaign.Options{MaxPairs: 1024})
+	run, err := campaign.Run(camp, 2, campaign.Options{MaxPairs: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
+	o2 := run.Order2
 	if n := o2.Solo.Count(fault.OutcomeSuccess); n != 0 {
 		t.Errorf("%d order-1 skip successes on skip-window hybrid", n)
 	}
@@ -65,10 +66,11 @@ func TestHybridSkipWindowOrder2(t *testing.T) {
 	}
 
 	camp.Models = []fault.Model{fault.ModelMultiSkip}
-	ms, err := campaign.Run(camp, campaign.Options{})
+	run, err = campaign.Run(camp, 1, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ms := run.Report
 	if n := ms.Count(fault.OutcomeSuccess); n != 0 {
 		t.Errorf("%d multi-skip successes on skip-window hybrid (of %d)",
 			n, len(ms.Injections))

@@ -162,29 +162,17 @@ func (fl *faulter) campaignFor(bin *elf.Binary) fault.Campaign {
 	}
 }
 
-// run executes the order-1 campaign for a binary incrementally.
-func (fl *faulter) run(bin *elf.Binary) (*fault.Report, campaign.CacheStats, error) {
-	res, err := campaign.RunIncremental(fl.campaignFor(bin),
-		campaign.Options{Store: fl.opt.Store}, fl.memo)
-	if err != nil {
-		return nil, campaign.CacheStats{}, err
-	}
-	fl.memo = res.Memo
-	fl.cache.Add(res.Cache)
-	return res.Report, res.Cache, nil
-}
-
-// runOrder2 executes the order-2 campaign for a binary incrementally
-// (memo-assisted solo sweep, store-cached pair stage).
-func (fl *faulter) runOrder2(bin *elf.Binary) (*campaign.Order2Report, campaign.CacheStats, error) {
-	res, err := campaign.RunOrder2Incremental(fl.campaignFor(bin),
+// run executes the campaign of the given order for a binary
+// incrementally: memo-assisted solo sweep, store-cached pair stage.
+func (fl *faulter) run(bin *elf.Binary, order int) (*campaign.RunResult, error) {
+	res, err := campaign.RunIncremental(fl.campaignFor(bin), order,
 		campaign.Options{Store: fl.opt.Store, MaxPairs: fl.opt.MaxPairs}, fl.memo)
 	if err != nil {
-		return nil, campaign.CacheStats{}, err
+		return nil, err
 	}
 	fl.memo = res.Memo
 	fl.cache.Add(res.Cache)
-	return res.Report, res.Cache, nil
+	return res, nil
 }
 
 // Harden runs the simulation-driven iterative hardening of §IV-B: run
@@ -213,13 +201,12 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 	}
 
 	fl := &faulter{opt: opt}
-	var rep *fault.Report
 	for iter := 1; iter <= opt.MaxIterations; iter++ {
-		var cs campaign.CacheStats
-		rep, cs, err = fl.run(cur)
+		r, err := fl.run(cur, 1)
 		if err != nil {
 			return nil, fmt.Errorf("patch: iteration %d: %w", iter, err)
 		}
+		rep, cs := r.Report, r.Cache
 
 		sites := rep.VulnerableSites()
 		stats := IterationStats{
@@ -289,11 +276,11 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 	// Final verification campaign. The binary is unchanged since the
 	// last converged iteration, so the memo (and any store) answers it
 	// without re-simulating.
-	final, _, err := fl.run(cur)
+	final, err := fl.run(cur, 1)
 	if err != nil {
 		return nil, fmt.Errorf("patch: final verification: %w", err)
 	}
-	res.Final = final
+	res.Final = final.Report
 	res.Binary = cur
 	res.Cache = fl.cache
 	return res, nil
@@ -307,11 +294,11 @@ func Harden(bin *elf.Binary, opt Options) (*Result, error) {
 // is exhausted. Returns the (possibly re-patched) current binary.
 func hardenPairs(prog *bir.Program, cur *elf.Binary, opt Options, res *Result, fl *faulter, logf func(string, ...any)) (*elf.Binary, error) {
 	for iter := 1; iter <= opt.MaxIterations; iter++ {
-		o2, cs, err := fl.runOrder2(cur)
+		r, err := fl.run(cur, 2)
 		if err != nil {
 			return nil, fmt.Errorf("patch: pair iteration %d: %w", iter, err)
 		}
-		solo, injs := o2.Solo.Injections, o2.Pairs
+		solo, injs, cs := r.Report.Injections, r.Order2.Pairs, r.Cache
 		res.FinalPairs = injs
 		stats := PairIterationStats{
 			Iteration: iter, Solo: len(solo), Pairs: len(injs), CodeSize: cur.CodeSize(),
@@ -379,11 +366,11 @@ func hardenPairs(prog *bir.Program, cur *elf.Binary, opt Options, res *Result, f
 	}
 	// Budget exhausted right after an escalation round: refresh the
 	// final pair report so it describes the binary actually returned.
-	o2, _, err := fl.runOrder2(cur)
+	final, err := fl.run(cur, 2)
 	if err != nil {
 		return nil, fmt.Errorf("patch: final pair verification: %w", err)
 	}
-	res.FinalPairs = o2.Pairs
+	res.FinalPairs = final.Order2.Pairs
 	return cur, nil
 }
 

@@ -1,6 +1,7 @@
 package static
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/r2r/reinforce/internal/elf"
@@ -92,6 +93,38 @@ func FuzzCFGBuilder(f *testing.F) {
 				t.Fatalf("instruction %#x not in any block", addr)
 			}
 			a.LiveIn(addr) // must be defined, not panic
+		}
+	})
+}
+
+// FuzzELFLoad: the path an arbitrary user-supplied file takes through
+// `r2r verify BIN` and `r2r campaign BIN` — elf.Load (or the raw
+// section-header Parse) followed by Analyze and CheckCoverage — must
+// never panic on any byte stream, and the verdict on an image that
+// loads must be a pure function of its bytes. The committed seeds are
+// every catalog binary (`r2r cases -dir D`, the *.elf files) and the
+// standalone images `r2r hybrid -emit` writes for them.
+func FuzzELFLoad(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x7fELF"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, load := range []func([]byte) (*elf.Binary, error){elf.Load, elf.Parse} {
+			bin, err := load(data)
+			if err != nil {
+				continue
+			}
+			a, err := Analyze(bin)
+			if err != nil {
+				continue
+			}
+			first := a.CheckCoverage()
+			b, err := Analyze(bin)
+			if err != nil {
+				t.Fatalf("second analysis of the same image failed: %v", err)
+			}
+			if again := b.CheckCoverage(); !reflect.DeepEqual(first, again) {
+				t.Fatalf("coverage verdict not deterministic: %v vs %v", first, again)
+			}
 		}
 	})
 }

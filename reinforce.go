@@ -151,12 +151,16 @@ type Order2Report = campaign.Order2Report
 // in the trace), capped at maxPairs (0 = the default budget). This is
 // the attack that defeats single-fault-hardened binaries.
 func FaultScanOrder2(bin *Binary, good, bad []byte, maxPairs int, models ...Model) (*Order2Report, error) {
-	return campaign.RunOrder2(fault.Campaign{
+	res, err := campaign.Run(fault.Campaign{
 		Binary: bin,
 		Good:   good,
 		Bad:    bad,
 		Models: models,
-	}, campaign.Options{MaxPairs: maxPairs})
+	}, 2, campaign.Options{MaxPairs: maxPairs})
+	if err != nil {
+		return nil, err
+	}
+	return res.Order2, nil
 }
 
 // CampaignStore is the content-addressed campaign result cache:
