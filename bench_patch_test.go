@@ -118,7 +118,7 @@ func BenchmarkOrder2PairSweep(b *testing.B) {
 }
 
 // BenchmarkOrder2PairSweepPerPair is the pre-tree baseline: the same
-// pair list simulated one SimulatePair call per pair — each replaying
+// pair list simulated one SimulateFaults call per pair — each replaying
 // its prefix from the nearest golden checkpoint — on the same
 // GOMAXPROCS worker pool the engine uses, so the tracked tree-vs-
 // per-pair comparison isolates the snapshot forking, not parallelism.
@@ -149,7 +149,7 @@ func BenchmarkOrder2PairSweepPerPair(b *testing.B) {
 					if j >= len(pairs) {
 						return
 					}
-					s.SimulatePair(pairs[j])
+					s.SimulateFaults(pairs[j].First, pairs[j].Second)
 				}
 			}()
 		}

@@ -285,7 +285,7 @@ func TestPruneStaticInertOrder3(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ti := range rep.Triples {
-		if want := s.SimulateTriple(ti.Triple); ti.Outcome != want {
+		if want := s.SimulateFaults(ti.Triple.First, ti.Triple.Second, ti.Triple.Third); ti.Outcome != want {
 			t.Fatalf("triple %d (%v): campaign says %v, direct simulation %v",
 				i, ti.Triple, ti.Outcome, want)
 		}
@@ -325,7 +325,7 @@ func TestRunOrder3Differential(t *testing.T) {
 	}
 	var tally fault.Tally
 	for i, ti := range rep.Triples {
-		if want := s.SimulateTriple(ti.Triple); ti.Outcome != want {
+		if want := s.SimulateFaults(ti.Triple.First, ti.Triple.Second, ti.Triple.Third); ti.Outcome != want {
 			t.Fatalf("triple %d (%v): campaign says %v, direct simulation %v",
 				i, ti.Triple, ti.Outcome, want)
 		}
@@ -357,5 +357,38 @@ func TestRunOrder3Differential(t *testing.T) {
 	}
 	if warm.Cache.Hits == 0 {
 		t.Fatal("warm order-3 run reported no store hits")
+	}
+}
+
+// TestRunOrder3DifferentialClassHits: multi-instruction skip on
+// pincheck at the full fault list and default budgets is the catalog
+// cell where equal first-fault states recur across triple groups, so
+// the order-3 tree answers continuations from the class cache (the
+// order-3 run's ClassEquiv exceeds the order-2 run's). Every triple
+// must still classify exactly as direct per-triple simulation.
+func TestRunOrder3DifferentialClassHits(t *testing.T) {
+	c := campaigntest.CaseCampaign(t, "pincheck", []fault.Model{fault.ModelMultiSkip}, 0)
+	res2, err := campaign.Run(c, 2, campaign.Options{Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.Run(c, 3, campaign.Options{Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Prune == nil || res2.Prune == nil || res.Prune.ClassEquiv <= res2.Prune.ClassEquiv {
+		t.Fatalf("order-3 tree drew nothing from the class cache (order 2 %+v, order 3 %+v)", res2.Prune, res.Prune)
+	}
+	campaigntest.AssertOrder2Equal(t, "order-3 lower stages", res2.Order2, res.Order2)
+
+	s, err := fault.NewSession(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ti := range res.Order3.Triples {
+		if want := s.SimulateFaults(ti.Triple.First, ti.Triple.Second, ti.Triple.Third); ti.Outcome != want {
+			t.Fatalf("triple %d (%v): campaign says %v, direct simulation %v",
+				i, ti.Triple, ti.Outcome, want)
+		}
 	}
 }

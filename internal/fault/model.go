@@ -122,7 +122,7 @@ type ModelSpec interface {
 
 	// Hooks installs the emulator hooks realizing fault f into cfg,
 	// using Config.AddFetchHook/AddStepHook so several faults compose
-	// onto one run (order-2 campaigns).
+	// onto one run (multi-fault campaigns).
 	Hooks(f Fault, cfg *emu.Config)
 }
 
@@ -132,15 +132,14 @@ type ModelSpec interface {
 // completed EffectEnd(f) steps behaves identically from then on whether
 // or not the hooks are still installed.
 //
-// Declaring a horizon lets the order-2 engine build the first-fault
-// snapshot tree (see Session.ExecutePairShard): the first fault's run
-// is paused once its hooks are inert, snapshotted, and forked per
-// second fault, replacing O(pairs) prefix replays with O(distinct first
-// faults). Models without a horizon (hooks that stay live for the whole
-// run) simply fall back to the per-pair path; correctness never depends
-// on the declaration, only performance — but a horizon that is too
-// early is a soundness bug, caught by the pair warm/cold identity
-// tests.
+// Declaring a horizon lets the multi-fault engine build the first-fault
+// snapshot tree (see runTree): the first fault's run is paused once its
+// hooks are inert, snapshotted, and forked per continuation, replacing
+// O(tuples) prefix replays with O(distinct first faults). Models
+// without a horizon (hooks that stay live for the whole run) simply
+// fall back to the per-tuple path; correctness never depends on the
+// declaration, only performance — but a horizon that is too early is a
+// soundness bug, caught by the tree warm/cold identity tests.
 type EffectHorizon interface {
 	EffectEnd(f Fault) uint64
 }

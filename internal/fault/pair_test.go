@@ -79,7 +79,7 @@ func TestSimulatePairMatchesColdPath(t *testing.T) {
 			pairs = pairs[:300] // bound the cross-validation cost
 		}
 		for _, p := range pairs {
-			if warm, cold := s.SimulatePair(p), s.SimulatePairCold(p); warm != cold {
+			if warm, cold := s.SimulateFaults(p.First, p.Second), s.SimulateCold(p.First, p.Second); warm != cold {
 				t.Errorf("%v %v: snapshot path %v, cold path %v", models, p, warm, cold)
 			}
 		}

@@ -36,8 +36,6 @@ package fault
 import (
 	"sync"
 	"sync/atomic"
-
-	"github.com/r2r/reinforce/internal/emu"
 )
 
 // PruneStats accounts for how a pruned campaign's injections were
@@ -110,7 +108,7 @@ func (p *Pruner) Simulate(f Fault) Outcome {
 		return o
 	}
 	p.sim.Add(1)
-	return p.s.simulateDynamic(f)
+	return p.s.SimulateFaults(f)
 }
 
 // SimulateRecord is Simulate for the evidence-recording path. Only the
@@ -152,16 +150,20 @@ type classKey struct {
 }
 
 // equivClass caches the continuation outcomes computed from one
-// machine state: per second fault (order-2 groups) and per remaining
-// pair (order-3 groups). The lock is held across the simulation that
-// fills a missing entry, so each distinct continuation is simulated
-// exactly once — which keeps PruneStats deterministic (set-union
-// accounting) as well as cheap.
+// machine state, keyed by continuation (a pair group's second fault, a
+// triple group's remaining pair). The lock is held across the
+// simulation that fills a missing entry, so each distinct continuation
+// is simulated exactly once — which keeps PruneStats deterministic
+// (set-union accounting) as well as cheap.
 type equivClass struct {
-	mu      sync.Mutex
-	seconds map[Fault]Outcome
-	rests   map[FaultPair]Outcome
+	mu   sync.Mutex
+	outs map[contKey]Outcome
 }
+
+// contKey identifies a continuation by its faults' 1-based positions in
+// the pruner's solo sweep, unused slots zero: an 8-byte comparable key
+// for the known-outcome table and the class caches.
+type contKey [maxOrder - 1]int32
 
 // refDigest lazily computes one reference-state digest.
 type refDigest struct {
@@ -173,8 +175,8 @@ type refDigest struct {
 // multi-fault sweep. It is built per execution from the completed solo
 // sweep and threaded through the snapshot tree
 // (ExecutePairShardPruned, ExecuteTripleShard): each first-fault group
-// is digested at its effect horizon and either collapses to known solo
-// or pair outcomes (reference-equal state) or shares continuation
+// is digested at its effect horizon and either collapses to known
+// continuation outcomes (reference-equal state) or shares continuation
 // outcomes with every group in its equivalence class. Safe for
 // concurrent use by the engine's worker pools.
 //
@@ -184,9 +186,14 @@ type refDigest struct {
 // equivalences independently, so their PruneStats may split
 // differently between ClassEquiv and Simulated.
 type PairPruner struct {
-	s     *Session
-	solo  map[Fault]Outcome
-	pairs map[FaultPair]Outcome // optional, for order-3 reference-equal inheritance
+	s *Session
+	// pos numbers the solo sweep's faults for contKey. known holds the
+	// outcomes of completed lower-order sweeps: the solo sweep's (which
+	// reference-equal pair groups inherit) and any registered pair
+	// sweep's (which reference-equal triple groups inherit). Both are
+	// written only before execution, so reads take no lock.
+	pos   map[Fault]int32
+	known map[contKey]Outcome
 
 	mu      sync.Mutex
 	refs    map[uint64]*refDigest
@@ -200,36 +207,54 @@ type PairPruner struct {
 func (s *Session) NewPairPruner(solo []Injection) *PairPruner {
 	pr := &PairPruner{
 		s:       s,
-		solo:    make(map[Fault]Outcome, len(solo)),
+		pos:     make(map[Fault]int32, len(solo)),
+		known:   make(map[contKey]Outcome, len(solo)),
 		refs:    make(map[uint64]*refDigest),
 		classes: make(map[classKey]*equivClass),
 	}
-	for _, inj := range solo {
-		pr.solo[inj.Fault] = inj.Outcome
+	for i, inj := range solo {
+		pr.pos[inj.Fault] = int32(i + 1)
+		pr.known[contKey{int32(i + 1)}] = inj.Outcome
 	}
 	return pr
 }
 
-// SetPairOutcomes registers a completed pair sweep's outcomes, so an
-// order-3 sweep on the same pruner can collapse reference-equal triple
-// groups to the known outcome of their remaining pair. The slice is
-// read once; later calls replace earlier ones.
-func (pr *PairPruner) SetPairOutcomes(pairs []PairInjection) {
-	m := make(map[FaultPair]Outcome, len(pairs))
-	for _, pi := range pairs {
-		m[pi.Pair] = pi.Outcome
+// keyOf keys a continuation. ok is false for a nil pruner and for a
+// continuation with a fault outside the solo sweep (only hand-built
+// work lists have one), which then simulates without sharing.
+func (pr *PairPruner) keyOf(rest []Fault) (k contKey, ok bool) {
+	if pr == nil {
+		return k, false
 	}
-	pr.mu.Lock()
-	pr.pairs = m
-	pr.mu.Unlock()
+	for j, f := range rest {
+		if k[j], ok = pr.pos[f]; !ok {
+			return k, false
+		}
+	}
+	return k, true
 }
 
-// pairOutcome looks up a registered pair outcome.
-func (pr *PairPruner) pairOutcome(p FaultPair) (Outcome, bool) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	o, ok := pr.pairs[p]
+// knownOutcome looks a continuation up in the known-outcome table.
+func (pr *PairPruner) knownOutcome(rest []Fault) (Outcome, bool) {
+	k, ok := pr.keyOf(rest)
+	if !ok {
+		return 0, false
+	}
+	o, ok := pr.known[k]
 	return o, ok
+}
+
+// SetPairOutcomes registers a completed pair sweep's outcomes, so an
+// order-3 sweep on the same pruner can collapse reference-equal triple
+// groups to the known outcome of their remaining pair. Registrations
+// accumulate (a pair's outcome is a fixed fact of the session). Call
+// before executing on the pruner, not concurrently with it.
+func (pr *PairPruner) SetPairOutcomes(pairs []PairInjection) {
+	for _, pi := range pairs {
+		if k, ok := pr.keyOf([]Fault{pi.Pair.First, pi.Pair.Second}); ok {
+			pr.known[k] = pi.Outcome
+		}
+	}
 }
 
 // Stats snapshots the layer's accounting.
@@ -256,7 +281,7 @@ func (pr *PairPruner) refDigestAt(step uint64) [32]byte {
 	}
 	pr.mu.Unlock()
 	rd.once.Do(func() {
-		m := pr.s.rungFor(step).Resume(emu.Config{StepLimit: pr.s.c.InjectionStepLimit, SingleStep: pr.s.c.SingleStep})
+		m := pr.s.rungFor(step).Resume(pr.s.injectionConfig())
 		m.RunUntil(step)
 		rd.d = m.StateDigest()
 		m.Release()
@@ -272,138 +297,23 @@ func (pr *PairPruner) classFor(step uint64, digest [32]byte) *equivClass {
 	defer pr.mu.Unlock()
 	cl, ok := pr.classes[k]
 	if !ok {
-		cl = &equivClass{seconds: make(map[Fault]Outcome), rests: make(map[FaultPair]Outcome)}
+		cl = &equivClass{outs: make(map[contKey]Outcome)}
 		pr.classes[k] = cl
 	}
 	return cl
 }
 
-// secondOutcome returns the class's outcome for continuing with one
-// second fault, running sim (under the class lock) on first need.
-func (pr *PairPruner) secondOutcome(cl *equivClass, second Fault, sim func() Outcome) Outcome {
+// classOutcome returns the class's outcome for one continuation,
+// running sim (under the class lock) on first need.
+func (pr *PairPruner) classOutcome(cl *equivClass, k contKey, sim func() Outcome) Outcome {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if o, ok := cl.seconds[second]; ok {
+	if o, ok := cl.outs[k]; ok {
 		pr.classEquiv.Add(1)
 		return o
 	}
 	o := sim()
 	pr.sim.Add(1)
-	cl.seconds[second] = o
+	cl.outs[k] = o
 	return o
-}
-
-// restOutcome is secondOutcome for an order-3 group's remaining pair.
-func (pr *PairPruner) restOutcome(cl *equivClass, rest FaultPair, sim func() Outcome) Outcome {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if o, ok := cl.rests[rest]; ok {
-		pr.classEquiv.Add(1)
-		return o
-	}
-	o := sim()
-	pr.sim.Add(1)
-	cl.rests[rest] = o
-	return o
-}
-
-// runPairGroupPruned is runPairGroup with the equivalence layer
-// spliced in between the horizon run and the snapshot forks. The
-// digest comparison happens once per group; pairs then classify by
-// solo-outcome inheritance (reference-equal state), class-cache
-// inheritance, or a fork simulation recorded into the class.
-func (s *Session) runPairGroupPruned(pr *PairPruner, g *pairGroup, sel []FaultPair, outcomes []Outcome, tally *Tally, tick func()) {
-	// StaticInert fast path: a fully transparent first window keeps the
-	// machine bit-identical to the reference trajectory through the
-	// effect horizon, so each pair runs exactly like its second fault
-	// alone — already known from the solo sweep. Any missing solo
-	// outcome falls back to the full dynamic path for the whole group.
-	if s.transparentFirst(g.first) {
-		known := true
-		for _, i := range g.idx {
-			if _, ok := pr.solo[sel[i].Second]; !ok {
-				known = false
-				break
-			}
-		}
-		if known {
-			for _, i := range g.idx {
-				o := pr.solo[sel[i].Second]
-				outcomes[i] = o
-				tally[o]++
-				tick()
-			}
-			pr.inert.Add(int64(len(g.idx)))
-			return
-		}
-	}
-	m := s.rungFor(uint64(g.first.TraceIndex)).Resume(s.injectionConfig(g.first))
-	res, done, err := m.RunUntil(g.end)
-	if done {
-		// One run classified the whole group (same as the unpruned
-		// tree); not a pruner saving, so it counts as simulated.
-		o := classify(res, err, s.good)
-		pr.sim.Add(int64(len(g.idx)))
-		for _, i := range g.idx {
-			outcomes[i] = o
-			tally[o]++
-			tick()
-		}
-		m.Release()
-		return
-	}
-	digest := m.StateDigest()
-	refEqual := digest == pr.refDigestAt(g.end)
-
-	// Class machinery materializes lazily: a fully reference-equal
-	// group never snapshots or touches the class map.
-	var cl *equivClass
-	var snap *emu.Snapshot
-	fork := func(second Fault) func() Outcome {
-		return func() Outcome {
-			cfg := emu.Config{StepLimit: s.c.InjectionStepLimit, SingleStep: s.c.SingleStep}
-			if spec := SpecOf(second.Model); spec != nil {
-				spec.Hooks(second, &cfg)
-			}
-			m2 := snap.Resume(cfg)
-			res2, err2 := m2.Run()
-			o := classify(res2, err2, s.good)
-			m2.Release()
-			return o
-		}
-	}
-	for _, i := range g.idx {
-		second := sel[i].Second
-		var o Outcome
-		if so, ok := pr.solo[second]; refEqual && ok {
-			// The first fault's effects died out before the horizon:
-			// this machine IS the reference machine, so the pair runs
-			// exactly like the second fault alone.
-			o = so
-			pr.refEquiv.Add(1)
-		} else {
-			if snap == nil {
-				cl = pr.classFor(g.end, digest)
-				snap = m.Snapshot()
-				snap.SeedDecodeCache(s.codeCache)
-				snap.SeedProgram(s.prog)
-			}
-			o = pr.secondOutcome(cl, second, fork(second))
-		}
-		outcomes[i] = o
-		tally[o]++
-		tick()
-	}
-	// No-op when a snapshot froze m; recycles the buffers otherwise
-	// (every pair inherited its second fault's solo outcome).
-	m.Release()
-}
-
-// ExecutePairShardPruned is ExecutePairShard with the state-hash
-// equivalence pruner spliced into the snapshot tree. Results are
-// bit-identical to ExecutePairShard (and SimulatePair / the cold
-// path): inheritance only substitutes outcomes of provably identical
-// continuations. Only the cost and the PruneStats change.
-func (s *Session) ExecutePairShardPruned(pairs []FaultPair, pr *PairPruner, shardIndex, shardCount, workers int, progress func(total int)) ([]PairInjection, Tally) {
-	return s.executePairShard(pairs, pr, shardIndex, shardCount, workers, progress)
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -178,5 +179,68 @@ func TestPairPrunerInheritance(t *testing.T) {
 	}
 	if st.Simulated >= len(pairs) {
 		t.Fatalf("pruner simulated all %d pairs (stats %+v)", len(pairs), st)
+	}
+}
+
+// TestTransparentFirstFastPath: a skipped nop leaves the machine on the
+// reference trajectory, so the tree answers its groups from the
+// known-outcome table — pairs from the solo sweep, triples only once
+// the pair sweep is registered (until then a triple group whose
+// continuation is unknown falls back to the dynamic path). Every
+// outcome still matches per-tuple simulation.
+func TestTransparentFirstFastPath(t *testing.T) {
+	src := strings.Replace(miniPincheck, "\tmov rdx, 8\n\tsyscall\n", "\tmov rdx, 8\n\tnop\n\tsyscall\n", 1)
+	s, err := NewSession(Campaign{
+		Binary: mustAssemble(t, src), Good: goodPin, Bad: badPin, Models: []Model{ModelSkip},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, _ := s.ExecuteShard(0, 1, 0, nil)
+	pairs, triples := EnumeratePairs(solo, 0), EnumerateTriples(solo, 0)
+	pr := s.NewPairPruner(solo)
+	pairInj, _ := s.ExecutePairShardPruned(pairs, pr, 0, 1, 2, nil)
+	if st := pr.Stats(); st.StaticInert == 0 {
+		t.Fatalf("no pair took the transparent-first fast path (stats %+v)", st)
+	}
+	for _, pi := range pairInj {
+		if want := s.SimulateFaults(pi.Pair.First, pi.Pair.Second); pi.Outcome != want {
+			t.Errorf("%v: pruned tree %v, simulation %v", pi.Pair, pi.Outcome, want)
+		}
+	}
+
+	bare := s.NewPairPruner(solo)
+	unseeded, _ := s.ExecuteTripleShard(triples, bare, 0, 1, 2, nil)
+	if st := bare.Stats(); st.StaticInert != 0 {
+		t.Errorf("triples inherited unregistered pair outcomes (stats %+v)", st)
+	}
+	seeded := s.NewPairPruner(solo)
+	seeded.SetPairOutcomes(pairInj)
+	got, _ := s.ExecuteTripleShard(triples, seeded, 0, 1, 2, nil)
+	if st := seeded.Stats(); st.StaticInert == 0 {
+		t.Errorf("no triple took the transparent-first fast path (stats %+v)", st)
+	}
+	for i, tr := range triples {
+		want := s.SimulateFaults(tr.First, tr.Second, tr.Third)
+		if unseeded[i].Outcome != want || got[i].Outcome != want {
+			t.Errorf("%v: unseeded %v, seeded %v, simulation %v", tr, unseeded[i].Outcome, got[i].Outcome, want)
+		}
+	}
+}
+
+// TestPairPrunerForeignFaults: a work list holding faults outside the
+// pruner's solo sweep (possible only for hand-built lists) still
+// classifies bit-identically — such continuations have no key, so they
+// simulate without inheriting — and the accounting covers every pair.
+func TestPairPrunerForeignFaults(t *testing.T) {
+	s, solo, pairs := pairSession(t, ModelSkip, ModelBitFlip)
+	plain, _ := s.ExecutePairShard(pairs, 0, 1, 0, nil)
+	pr := s.NewPairPruner(solo[:len(solo)/2])
+	got, _ := s.ExecutePairShardPruned(pairs, pr, 0, 1, 2, nil)
+	if !reflect.DeepEqual(plain, got) {
+		t.Fatal("pruned sweep over a partial solo table differs from the exhaustive sweep")
+	}
+	if st := pr.Stats(); st.Total() != len(pairs) {
+		t.Fatalf("prune stats %+v cover %d of %d pairs", st, st.Total(), len(pairs))
 	}
 }

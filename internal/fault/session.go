@@ -43,7 +43,7 @@ type Session struct {
 	ckpts  []*emu.Snapshot // ascending by step; ckpts[0] is the entry state
 
 	// codeCache is the reference run's warm decoded-code cache, also
-	// seeded into mid-run snapshots the order-2 snapshot tree takes
+	// seeded into mid-run snapshots the multi-fault snapshot tree takes
 	// (valid only while the first fault left code unmutated).
 	codeCache *emu.CodeCache
 
@@ -332,15 +332,22 @@ func (s *Session) checkpointFor(traceIndex uint64) *emu.Snapshot {
 	return s.ckpts[lo]
 }
 
-// injectionConfig builds the emulator hooks for one fault by asking
-// its registered spec. Specs key any step-indexed behaviour off the
-// machine's absolute step counter, so the hooks behave identically
-// whether the run starts from _start or resumes from a mid-trace
-// snapshot (the contract TestSnapshotPathMatchesColdPath enforces).
-func (s *Session) injectionConfig(f Fault) emu.Config {
+// injectionConfig builds the emulator hooks for the given faults by
+// asking each one's registered spec; with no faults it is the plain
+// reference-run configuration. The hooks chain
+// (Config.AddFetchHook/AddStepHook) and specs key any step-indexed
+// behaviour off the machine's absolute step counter, so composed
+// injections are independent (a later fault fires at its step even
+// when an earlier one sent execution down a different path), and the
+// hooks behave identically whether the run starts from _start or
+// resumes from a mid-trace snapshot (the contract
+// TestSnapshotPathMatchesColdPath enforces).
+func (s *Session) injectionConfig(fs ...Fault) emu.Config {
 	cfg := emu.Config{StepLimit: s.c.InjectionStepLimit, SingleStep: s.c.SingleStep}
-	if spec := SpecOf(f.Model); spec != nil {
-		spec.Hooks(f, &cfg)
+	for _, f := range fs {
+		if spec := SpecOf(f.Model); spec != nil {
+			spec.Hooks(f, &cfg)
+		}
 	}
 	return cfg
 }
@@ -359,7 +366,7 @@ func (s *Session) Simulate(f Fault) Outcome {
 	if s.decodePreScreen(f) {
 		return OutcomeCrash
 	}
-	return s.simulateDynamic(f)
+	return s.SimulateFaults(f)
 }
 
 // decodePreScreen reports whether the bit flip f corrupts its
@@ -378,17 +385,6 @@ func (s *Session) decodePreScreen(f Fault) bool {
 	p.buf[f.Bit/8] ^= 1 << (f.Bit % 8)
 	_, err := decode.Decode(p.buf[:p.n], f.Addr)
 	return err != nil
-}
-
-// simulateDynamic is the simulation core behind Simulate: resume the
-// nearest copy-on-write snapshot with the fault's hooks and classify
-// the run. Callers (Simulate, Pruner) apply their static screens first.
-func (s *Session) simulateDynamic(f Fault) Outcome {
-	m := s.rungFor(uint64(f.TraceIndex)).Resume(s.injectionConfig(f))
-	res, err := m.Run()
-	o := classify(res, err, s.good)
-	m.Release()
-	return o
 }
 
 // InjectionLimit returns the per-injection step budget the session runs
@@ -500,12 +496,13 @@ func sortedPages(set map[uint64]struct{}) []uint64 {
 	return out
 }
 
-// SimulateCold runs one injection from a freshly initialized machine,
-// replaying the whole prefix — the reference semantics the snapshot
-// path must match bit for bit. Tests cross-validate the two paths; the
-// engine never uses it.
-func (s *Session) SimulateCold(f Fault) Outcome {
-	cfg := s.injectionConfig(f)
+// SimulateCold runs one injection of the given faults from a freshly
+// initialized machine, replaying the whole prefix — the reference
+// semantics the snapshot paths (Simulate, SimulateFaults and the
+// snapshot tree) must match bit for bit. Tests cross-validate the
+// paths; the engine never uses it.
+func (s *Session) SimulateCold(fs ...Fault) Outcome {
+	cfg := s.injectionConfig(fs...)
 	cfg.Stdin = s.c.Bad
 	m := emu.New(s.c.Binary, cfg)
 	res, err := m.Run()
@@ -604,7 +601,8 @@ func ShardSelect[T any](items []T, index, count int) []T {
 // the corpus work-stealing scheduler when injected). Outcomes land at
 // fixed positions and the tally is order-insensitive, so results are
 // bit-identical regardless of worker count, chunking, or stealing.
-// Both the order-1 fault sweep and the order-2 pair sweep run on it.
+// The order-1 fault sweep runs on it; the multi-fault sweeps run on
+// runTree, which schedules snapshot-tree groups the same way.
 func runShard[T any](items []T, shardIndex, shardCount int, pool Pool, sim func(T) Outcome, progress func(total int)) ([]T, []Outcome, Tally) {
 	sel := ShardSelect(items, shardIndex, shardCount)
 	outcomes := make([]Outcome, len(sel))

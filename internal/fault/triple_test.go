@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -56,7 +57,7 @@ func TestSimulateTripleMatchesColdPath(t *testing.T) {
 			triples = triples[:200] // bound the cross-validation cost
 		}
 		for _, tr := range triples {
-			if warm, cold := s.SimulateTriple(tr), s.SimulateTripleCold(tr); warm != cold {
+			if warm, cold := s.SimulateFaults(tr.First, tr.Second, tr.Third), s.SimulateCold(tr.First, tr.Second, tr.Third); warm != cold {
 				t.Errorf("%v %v: snapshot path %v, cold path %v", models, tr, warm, cold)
 			}
 		}
@@ -74,7 +75,7 @@ func TestExecuteTripleShardBitIdentical(t *testing.T) {
 	want := make([]TripleInjection, len(triples))
 	var wantTally Tally
 	for i, tr := range triples {
-		o := s.SimulateTriple(tr)
+		o := s.SimulateFaults(tr.First, tr.Second, tr.Third)
 		want[i] = TripleInjection{Triple: tr, Outcome: o}
 		wantTally[o]++
 	}
@@ -120,5 +121,42 @@ func TestExecuteTripleShardBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(merged, want) {
 		t.Error("recombined triple shards differ from per-triple simulation")
+	}
+}
+
+// TestExecuteTripleShardProgress: the triple sweep reports progress
+// once per triple with the shard's total, from any worker, and a shard
+// that selects no triples returns an empty, non-nil result.
+func TestExecuteTripleShardProgress(t *testing.T) {
+	s, solo, triples := tripleSession(t, ModelSkip)
+	if len(triples) > 100 {
+		triples = triples[:100]
+	}
+	if len(triples) < 2 {
+		t.Fatalf("only %d triples", len(triples))
+	}
+	var ticks, badTotals atomic.Int64
+	got, tally := s.ExecuteTripleShard(triples, s.NewPairPruner(solo), 0, 1, 4, func(total int) {
+		if total != len(triples) {
+			badTotals.Add(1)
+		}
+		ticks.Add(1)
+	})
+	if n := ticks.Load(); n != int64(len(triples)) {
+		t.Errorf("progress ticked %d times for %d triples", n, len(triples))
+	}
+	if n := badTotals.Load(); n != 0 {
+		t.Errorf("%d progress calls reported a total other than %d", n, len(triples))
+	}
+	if len(got) != len(triples) || tally.Total() != len(triples) {
+		t.Errorf("got %d injections, tally %d, want %d", len(got), tally.Total(), len(triples))
+	}
+
+	// Two triples over three shards: shard 2 selects nothing.
+	empty, emptyTally := s.ExecuteTripleShard(triples[:2], s.NewPairPruner(solo), 2, 3, 4, func(int) {
+		t.Error("progress ticked on an empty shard")
+	})
+	if empty == nil || len(empty) != 0 || emptyTally != (Tally{}) {
+		t.Errorf("empty shard returned %v (nil %v), tally %v", empty, empty == nil, emptyTally)
 	}
 }
