@@ -481,15 +481,26 @@ func BenchmarkAssemble(b *testing.B) {
 	}
 }
 
-// BenchmarkEmulator measures interpreter throughput (steps/sec) on the
+// BenchmarkEmulator measures emulator throughput (steps/sec) on the
 // bootloader's hash loop.
-func BenchmarkEmulator(b *testing.B) {
+func BenchmarkEmulator(b *testing.B) { benchEmulator(b, emu.Config{}) }
+
+// BenchmarkEmulatorRecordPages measures the same run with code-page
+// recording on — the configuration every memo-recording simulation
+// (Session.SimulateRecord) uses. Its steps/s should stay close to
+// BenchmarkEmulator's.
+func BenchmarkEmulatorRecordPages(b *testing.B) {
+	benchEmulator(b, emu.Config{RecordPages: true})
+}
+
+func benchEmulator(b *testing.B, cfg emu.Config) {
 	c := cases.Bootloader()
 	bin := c.MustBuild()
+	cfg.Stdin = c.Good
 	b.ReportAllocs()
 	var steps uint64
 	for i := 0; i < b.N; i++ {
-		m := emu.New(bin, emu.Config{Stdin: c.Good})
+		m := emu.New(bin, cfg)
 		res, err := m.Run()
 		if err != nil {
 			b.Fatal(err)

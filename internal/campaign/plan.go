@@ -9,9 +9,10 @@ package campaign
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"hash"
 
 	"github.com/r2r/reinforce/internal/fault"
 )
@@ -28,8 +29,10 @@ import (
 // semantics) instead of returning -EFAULT, changing outcomes of faults
 // that corrupt a length register; 3 = one stage per entry: the pair
 // and triple digests and outcome vectors fold into Entry.Digest and
-// Entry.Outcomes.
-const planSchema = 3
+// Entry.Outcomes; 4 = item-list digests hash fixed-width binary
+// fields instead of formatted text, and entries carry a checksum of
+// their records or outcomes (Entry.Sum).
+const planSchema = 4
 
 // Plan is a content-addressed campaign execution: the campaign itself
 // plus the execution parameters that change its results (shard, fault
@@ -81,38 +84,99 @@ func NewPlan(c fault.Campaign, shard Shard, order, maxPairs int) Plan {
 // a fault list it was not computed from (a second line of defense
 // behind the plan key, guarding schema drift in enumeration itself).
 func digestFaults(faults []fault.Fault) string {
-	h := sha256.New()
-	for _, f := range faults {
-		writeFault(h, f)
+	h := newFixedHash()
+	for i := range faults {
+		h.fault(&faults[i])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h.sum()
 }
 
 // digestPairs content-addresses an enumerated pair list.
 func digestPairs(pairs []fault.FaultPair) string {
-	h := sha256.New()
-	for _, p := range pairs {
-		writeFault(h, p.First)
-		writeFault(h, p.Second)
+	h := newFixedHash()
+	for i := range pairs {
+		h.fault(&pairs[i].First)
+		h.fault(&pairs[i].Second)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h.sum()
 }
 
 // digestTriples content-addresses an enumerated triple list.
 func digestTriples(triples []fault.FaultTriple) string {
-	h := sha256.New()
-	for _, t := range triples {
-		writeFault(h, t.First)
-		writeFault(h, t.Second)
-		writeFault(h, t.Third)
+	h := newFixedHash()
+	for i := range triples {
+		h.fault(&triples[i].First)
+		h.fault(&triples[i].Second)
+		h.fault(&triples[i].Third)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h.sum()
 }
 
-// writeFault serializes every identity field of a fault, explicitly —
-// adding a Fault field without extending this list is caught by the
-// store round-trip tests.
-func writeFault(w io.Writer, f fault.Fault) {
-	fmt.Fprintf(w, "%d|%d|%x|%d|%d|%d|%t|%d|%d\n",
-		f.Model, f.TraceIndex, f.Addr, f.Op, f.Cond, f.Bit, f.Transient, f.Reg, f.Window)
+// fixedHashChunk is the size of fixedHash's buffer: fields accumulate
+// there and reach SHA-256 one chunk at a time.
+const fixedHashChunk = 4096
+
+// fixedHash is the encoder behind the item-list digests and the entry
+// checksum: it appends fixed-width little-endian fields to one reused
+// buffer and hashes that buffer in chunks, so encoding allocates
+// nothing per item. Fixed widths make the encoding unambiguous without
+// separators.
+type fixedHash struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newFixedHash() *fixedHash {
+	return &fixedHash{h: sha256.New(), buf: make([]byte, 0, fixedHashChunk)}
+}
+
+// reserve flushes the buffer to the hash unless n more bytes fit.
+func (d *fixedHash) reserve(n int) {
+	if len(d.buf)+n > cap(d.buf) {
+		d.h.Write(d.buf)
+		d.buf = d.buf[:0]
+	}
+}
+
+func (d *fixedHash) u8(v uint8) {
+	d.reserve(1)
+	d.buf = append(d.buf, v)
+}
+
+func (d *fixedHash) u64(v uint64) {
+	d.reserve(8)
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, v)
+}
+
+// faultLen is the encoded size of one fault (see fault).
+const faultLen = 1 + 8 + 8 + 1 + 1 + 8 + 1 + 1 + 8
+
+// fault encodes every identity field of a fault, explicitly, as one
+// 37-byte record: Model (1), TraceIndex (8), Addr (8), Op (1), Cond
+// (1), Bit (8), Transient (1), Reg (1), Window (8). Adding a Fault
+// field without extending this list is caught by
+// TestDigestCoversEveryFaultField.
+func (d *fixedHash) fault(f *fault.Fault) {
+	d.reserve(faultLen)
+	b := append(d.buf, byte(f.Model))
+	b = binary.LittleEndian.AppendUint64(b, uint64(f.TraceIndex))
+	b = binary.LittleEndian.AppendUint64(b, f.Addr)
+	b = append(b, byte(f.Op), byte(f.Cond))
+	b = binary.LittleEndian.AppendUint64(b, uint64(f.Bit))
+	b = append(b, boolByte(f.Transient), byte(f.Reg))
+	d.buf = binary.LittleEndian.AppendUint64(b, uint64(f.Window))
+}
+
+// sum flushes the buffer and returns the hex digest.
+func (d *fixedHash) sum() string {
+	d.h.Write(d.buf)
+	d.buf = d.buf[:0]
+	return hex.EncodeToString(d.h.Sum(nil))
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }

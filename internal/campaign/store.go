@@ -39,7 +39,9 @@ type Record struct {
 // gate its reuse. The plan key includes the order, so an entry holds
 // exactly one stage: an order-1 entry carries the per-fault Records
 // (the evidence a Memo rehydrates from), an order-2 or order-3 entry
-// the Outcomes of its pairs or triples.
+// the Outcomes of its pairs or triples. Sum is the checksum of
+// Records and Outcomes (see checksum), set by Store.Save and verified
+// when an entry is read back from disk.
 type Entry struct {
 	Schema int    `json:"schema"`
 	Key    string `json:"key"`
@@ -51,6 +53,31 @@ type Entry struct {
 
 	Records  []Record        `json:"records,omitempty"`
 	Outcomes []fault.Outcome `json:"outcomes,omitempty"`
+	Sum      string          `json:"sum"`
+}
+
+// checksum hashes the entry's results — every Record field and every
+// outcome, with the list lengths — through the fixed-width encoder the
+// item-list digests use. A cache file corrupted into another valid
+// JSON document fails it and is treated as absent.
+func (e *Entry) checksum() string {
+	h := newFixedHash()
+	h.u64(uint64(len(e.Records)))
+	for i := range e.Records {
+		r := &e.Records[i]
+		h.u8(uint8(r.Outcome))
+		h.u64(r.Steps)
+		h.u8(boolByte(r.LimitHit))
+		h.u64(uint64(len(r.Pages)))
+		for _, pa := range r.Pages {
+			h.u64(pa)
+		}
+	}
+	h.u64(uint64(len(e.Outcomes)))
+	for _, o := range e.Outcomes {
+		h.u8(uint8(o))
+	}
+	return h.sum()
 }
 
 // CacheStats counts how a run's work was answered. Hits/Misses count
@@ -226,8 +253,9 @@ func (st *Store) path(key string) string {
 
 // Lookup returns the stored entry for a plan key, consulting memory
 // first and then the backing directory. A malformed or
-// schema-mismatched file is treated as absent, never as an error: a
-// cache can only decline to help. Hit/miss accounting lives with the
+// schema-mismatched file, or one whose results fail their checksum, is
+// treated as absent, never as an error: a cache can only decline to
+// help. Hit/miss accounting lives with the
 // executor (CacheStats), which also knows when a returned entry was
 // rejected as stale.
 func (st *Store) Lookup(key string) (*Entry, bool) {
@@ -242,7 +270,7 @@ func (st *Store) Lookup(key string) (*Entry, bool) {
 		data, err := os.ReadFile(st.path(key))
 		if err == nil {
 			var e Entry
-			if json.Unmarshal(data, &e) == nil && e.Schema == planSchema && e.Key == key {
+			if json.Unmarshal(data, &e) == nil && e.Schema == planSchema && e.Key == key && e.Sum == e.checksum() {
 				st.insert(key, &e)
 				st.hits.Add(1)
 				return &e, true
@@ -259,7 +287,7 @@ func (st *Store) Lookup(key string) (*Entry, bool) {
 // rename) by default; with write-behind enabled (EnableWriteBehind) it
 // is deferred to the flusher and Save never blocks on I/O.
 func (st *Store) Save(e *Entry) error {
-	e.Schema = planSchema
+	e.Schema, e.Sum = planSchema, e.checksum()
 	st.saves.Add(1)
 	st.mu.Lock()
 	st.insert(e.Key, e)

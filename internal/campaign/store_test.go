@@ -1,8 +1,12 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -125,7 +129,9 @@ func TestCachedOrder2BitIdentity(t *testing.T) {
 // oracles, injection budget, or length — is a miss at every order:
 // the stage re-simulates bit-identically to an uncached run, counts
 // one miss (the lower stages still hit), and replaces the stale entry
-// so the next run is a pure hit.
+// so the next run is a pure hit. So is a cache file corrupted into
+// another valid entry (one outcome flipped, schema and key intact),
+// which only the entry checksum catches.
 func TestStaleEntryResimulates(t *testing.T) {
 	bin := buildMini(t)
 	c := miniCampaign(bin, fault.ModelSkip)
@@ -134,18 +140,26 @@ func TestStaleEntryResimulates(t *testing.T) {
 	stale := []struct {
 		name   string
 		mutate func(*Entry)
+		raw    bool // write the mutated entry straight to its file, bypassing Save and its checksum
 	}{
-		{"digest", func(e *Entry) { e.Digest = "drifted" }},
-		{"good oracle", func(e *Entry) { e.GoodOracle.ExitCode++ }},
-		{"bad oracle", func(e *Entry) { e.BadOracle.Stdout += "!" }},
-		{"limit", func(e *Entry) { e.Limit++ }},
+		{"digest", func(e *Entry) { e.Digest = "drifted" }, false},
+		{"good oracle", func(e *Entry) { e.GoodOracle.ExitCode++ }, false},
+		{"bad oracle", func(e *Entry) { e.BadOracle.Stdout += "!" }, false},
+		{"limit", func(e *Entry) { e.Limit++ }, false},
 		{"length", func(e *Entry) {
 			if e.Records != nil {
 				e.Records = append(e.Records, Record{})
 			} else {
 				e.Outcomes = append(e.Outcomes, fault.OutcomeIgnored)
 			}
-		}},
+		}, false},
+		{"flipped outcome on disk", func(e *Entry) {
+			if e.Records != nil {
+				e.Records[0].Outcome ^= 1
+			} else {
+				e.Outcomes[0] ^= 1
+			}
+		}, true},
 	}
 	for order := 1; order <= 3; order++ {
 		plain, err := Run(c, order, opt)
@@ -154,8 +168,9 @@ func TestStaleEntryResimulates(t *testing.T) {
 		}
 		for _, tc := range stale {
 			label := fmt.Sprintf("order %d, stale %s", order, tc.name)
+			dir := t.TempDir()
 			o := opt
-			o.Store = newTestStore(t, "")
+			o.Store = newTestStore(t, dir)
 			if _, err := Run(c, order, o); err != nil {
 				t.Fatal(err)
 			}
@@ -165,10 +180,22 @@ func TestStaleEntryResimulates(t *testing.T) {
 				t.Fatalf("%s: cold run stored no entry for its top stage", label)
 			}
 			bad := *e
+			bad.Records, bad.Outcomes = slices.Clone(e.Records), slices.Clone(e.Outcomes)
 			tc.mutate(&bad)
-			if err := o.Store.Save(&bad); err != nil {
+			if tc.raw {
+				data, err := json.Marshal(&bad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := o.Store.Save(&bad); err != nil {
 				t.Fatal(err)
 			}
+			// A fresh store holds nothing in memory: the run reads the
+			// stored file.
+			o.Store = newTestStore(t, dir)
 
 			got, err := Run(c, order, o)
 			if err != nil {
@@ -188,6 +215,7 @@ func TestStaleEntryResimulates(t *testing.T) {
 			if got.Cache.Misses != 1 || got.Cache.Hits != order-1 {
 				t.Errorf("%s: stats %+v, want 1 miss and %d hits", label, got.Cache, order-1)
 			}
+			o.Store = newTestStore(t, dir)
 			again, err := Run(c, order, o)
 			if err != nil {
 				t.Fatal(err)
@@ -467,7 +495,7 @@ func TestStoreEviction(t *testing.T) {
 		t.Fatal("evicted entry lost (disk should be the source of truth)")
 	}
 	want := entry("a")
-	want.Schema = planSchema
+	want.Schema, want.Sum = planSchema, want.checksum()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("disk round-trip of evicted entry drifted: %+v != %+v", got, want)
 	}

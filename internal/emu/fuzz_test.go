@@ -2,6 +2,7 @@ package emu
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/r2r/reinforce/internal/elf"
@@ -107,9 +108,10 @@ func TestICacheInvalidation(t *testing.T) {
 
 // FuzzUopTranslator: differential fuzzing of the micro-op fast path
 // against the single-step interpreter. Arbitrary bytes become the text
-// section of a minimal binary and run under both execution strategies;
-// any divergence in exit status, step count, or output is a bug in the
-// translator or a micro-op executor (the interpreter is the spec).
+// section of a minimal binary and run under both execution strategies,
+// with and without page recording; any divergence in exit status, step
+// count, output, or recorded page log is a bug in the translator or a
+// micro-op executor (the interpreter is the spec).
 func FuzzUopTranslator(f *testing.F) {
 	// A clean exit, the self-modifying icache program, a hot
 	// arithmetic loop, stack traffic, and a decode-failure prefix.
@@ -137,33 +139,46 @@ func FuzzUopTranslator(f *testing.F) {
 		if len(code) == 0 || len(code) > 1024 {
 			return
 		}
-		run := func(singleStep bool) (Result, error) {
+		// Recorded runs place the code 16 bytes before a page boundary,
+		// so most inputs cross it — between instructions of one block or
+		// inside one instruction.
+		run := func(singleStep, rec bool) (Result, map[uint64]uint64, error) {
+			base := uint64(0x401000)
+			if rec {
+				base = 0x402000 - 16
+			}
 			bin := &elf.Binary{
-				Entry: 0x401000,
+				Entry: base,
 				Sections: []*elf.Section{
-					{Name: ".text", Addr: 0x401000, Data: append([]byte(nil), code...), Flags: elf.FlagRead | elf.FlagWrite | elf.FlagExec},
+					{Name: ".text", Addr: base, Data: append([]byte(nil), code...), Flags: elf.FlagRead | elf.FlagWrite | elf.FlagExec},
 					{Name: ".data", Addr: 0x600000, Data: make([]byte, 4096), Flags: elf.FlagRead | elf.FlagWrite},
 				},
 			}
-			m := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096, SingleStep: singleStep})
+			m := New(bin, Config{Stdin: []byte("fuzz"), StepLimit: 4096, SingleStep: singleStep, RecordPages: rec})
 			res, err := m.Run()
+			pages := m.PageLog()
 			m.Release()
-			return res, err
+			return res, pages, err
 		}
-		rf, ef := run(false)
-		rs, es := run(true)
-		if (ef == nil) != (es == nil) {
-			t.Fatalf("error divergence: fast=%v slow=%v", ef, es)
-		}
-		if ef != nil && es != nil && ef.Error() != es.Error() {
-			t.Fatalf("error text divergence: fast=%v slow=%v", ef, es)
-		}
-		if rf.Exited != rs.Exited || rf.ExitCode != rs.ExitCode || rf.Steps != rs.Steps {
-			t.Fatalf("run divergence: fast=(%v,%d,%d) slow=(%v,%d,%d)",
-				rf.Exited, rf.ExitCode, rf.Steps, rs.Exited, rs.ExitCode, rs.Steps)
-		}
-		if string(rf.Stdout) != string(rs.Stdout) || string(rf.Stderr) != string(rs.Stderr) {
-			t.Fatalf("output divergence: fast=%q/%q slow=%q/%q", rf.Stdout, rf.Stderr, rs.Stdout, rs.Stderr)
+		for _, rec := range []bool{false, true} {
+			rf, pf, ef := run(false, rec)
+			rs, ps, es := run(true, rec)
+			if (ef == nil) != (es == nil) {
+				t.Fatalf("error divergence: fast=%v slow=%v", ef, es)
+			}
+			if ef != nil && es != nil && ef.Error() != es.Error() {
+				t.Fatalf("error text divergence: fast=%v slow=%v", ef, es)
+			}
+			if rf.Exited != rs.Exited || rf.ExitCode != rs.ExitCode || rf.Steps != rs.Steps {
+				t.Fatalf("run divergence: fast=(%v,%d,%d) slow=(%v,%d,%d)",
+					rf.Exited, rf.ExitCode, rf.Steps, rs.Exited, rs.ExitCode, rs.Steps)
+			}
+			if string(rf.Stdout) != string(rs.Stdout) || string(rf.Stderr) != string(rs.Stderr) {
+				t.Fatalf("output divergence: fast=%q/%q slow=%q/%q", rf.Stdout, rf.Stderr, rs.Stdout, rs.Stderr)
+			}
+			if !reflect.DeepEqual(pf, ps) {
+				t.Fatalf("page log divergence (record=%v): fast=%v slow=%v", rec, pf, ps)
+			}
 		}
 	})
 }

@@ -253,10 +253,10 @@ type Machine struct {
 	// machine translated itself (lazily, keyed by entry address, valid
 	// for privGen). armStart/armEnd is the union of the config's hook
 	// arming windows: while Steps is inside [armStart, armEnd) — or
-	// when singleStep, trace recording, or page logging is on — the
-	// machine single-steps so hooks and recorders observe every
-	// instruction; everywhere else RunUntil dispatches straight-line
-	// micro-op blocks.
+	// when singleStep or trace recording is on — the machine
+	// single-steps so hooks and the trace observe every instruction;
+	// everywhere else RunUntil dispatches straight-line micro-op
+	// blocks (which log code pages themselves).
 	prog       *Program
 	priv       *privProg
 	privGen    uint64
@@ -418,10 +418,11 @@ func (m *Machine) RunUntil(stop uint64) (Result, bool, error) {
 			break
 		}
 		// Superstep dispatch: outside hook arming windows (and without
-		// recorders attached) execution proceeds through predecoded
-		// micro-op blocks, pausing exactly at fastLimit — the next stop
-		// boundary, step limit, or hook window start. The single-step
-		// interpreter below handles everything the fast path declines.
+		// a trace recorder attached) execution proceeds through
+		// predecoded micro-op blocks, pausing exactly at fastLimit — the
+		// next stop boundary, step limit, or hook window start. The
+		// single-step interpreter below handles everything the fast
+		// path declines.
 		if lim := m.fastLimit(stop); lim > m.Steps {
 			moved, ferr := m.runFast(lim)
 			if ferr != nil {

@@ -293,6 +293,16 @@ func (m *Memory) permAt(pageAddr uint64) (uint32, bool) {
 
 // check validates an access of n bytes starting at addr.
 func (m *Memory) check(addr uint64, n int, kind AccessKind) error {
+	if fa, ok := m.permitted(addr, n, kind); !ok {
+		return &MemFault{Addr: fa, Kind: kind}
+	}
+	return nil
+}
+
+// permitted is check's core: it reports whether the access is allowed
+// and, when it is not, the first faulting address. Unlike check it
+// builds no error, so a failed probe allocates nothing.
+func (m *Memory) permitted(addr uint64, n int, kind AccessKind) (uint64, bool) {
 	var need uint32
 	switch kind {
 	case AccessRead:
@@ -305,19 +315,15 @@ func (m *Memory) check(addr uint64, n int, kind AccessKind) error {
 	// Address-space wraparound (e.g. a fault-corrupted stack pointer
 	// near 2^64) is always invalid.
 	if addr+uint64(n) < addr {
-		return &MemFault{Addr: addr, Kind: kind}
+		return addr, false
 	}
 	for a := addr &^ (pageSize - 1); a < addr+uint64(n); a += pageSize {
 		perm, ok := m.permAt(a)
 		if !ok || perm&need == 0 {
-			fa := addr
-			if a > addr {
-				fa = a
-			}
-			return &MemFault{Addr: fa, Kind: kind}
+			return max(a, addr), false
 		}
 	}
-	return nil
+	return 0, true
 }
 
 // Read copies n bytes at addr into buf, enforcing read permission.
@@ -329,18 +335,18 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 	return nil
 }
 
+// readRaw copies without permission checks; pages never materialized
+// read as zeros.
 func (m *Memory) readRaw(addr uint64, buf []byte) {
 	for i := 0; i < len(buf); {
-		pa := (addr + uint64(i)) &^ (pageSize - 1)
-		off := (addr + uint64(i)) & (pageSize - 1)
-		p := m.lookupPage(pa)
-		if p == nil {
-			buf[i] = 0
-			i++
-			continue
+		a := addr + uint64(i)
+		chunk := buf[i:min(len(buf), i+int(pageSize-(a&(pageSize-1))))]
+		if p := m.lookupPage(a &^ (pageSize - 1)); p != nil {
+			copy(chunk, p.data[a&(pageSize-1):])
+		} else {
+			clear(chunk)
 		}
-		n := copy(buf[i:], p.data[off:])
-		i += n
+		i += len(chunk)
 	}
 }
 

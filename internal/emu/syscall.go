@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/r2r/reinforce/internal/isa"
 )
@@ -77,17 +78,24 @@ func (m *Machine) syscall(next uint64) error {
 			ret(-errnoBADF)
 			return nil
 		}
+		// Check the source range before touching the output stream: a
+		// fault-corrupted length fails here without allocating the
+		// clamped megabyte. On success the bytes land straight in the
+		// stream's tail. A snapshot's streams have their capacity
+		// clamped, so growing one reallocates and forks never share a
+		// backing array.
 		n := ioCount(a2)
-		buf := make([]byte, n)
-		if err := m.Mem.Read(a1, buf); err != nil {
+		if _, ok := m.Mem.permitted(a1, n, AccessRead); !ok {
 			ret(-errnoFAULT)
 			return nil
 		}
-		if a0 == 1 {
-			m.Stdout = append(m.Stdout, buf...)
-		} else {
-			m.Stderr = append(m.Stderr, buf...)
+		out := &m.Stdout
+		if a0 == 2 {
+			out = &m.Stderr
 		}
+		l := len(*out)
+		*out = slices.Grow(*out, n)[:l+n]
+		m.Mem.readRaw(a1, (*out)[l:])
 		ret(int64(n))
 		return nil
 

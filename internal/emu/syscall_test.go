@@ -1,6 +1,12 @@
 package emu
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"github.com/r2r/reinforce/internal/asm"
+	"github.com/r2r/reinforce/internal/isa"
+)
 
 // readProg reads count bytes into a 16-byte buffer, exits with the
 // syscall's return value truncated to a byte (so tests can observe the
@@ -132,5 +138,131 @@ func TestIOCount(t *testing.T) {
 		if got := ioCount(tc.raw); got != tc.want {
 			t.Errorf("ioCount(%#x) = %d, want %d", tc.raw, got, tc.want)
 		}
+	}
+}
+
+// writeForkProg writes "A" from msg, pauses after that syscall (step
+// 5), then writes one byte from wherever rsi points and exits.
+const writeForkProg = `
+.text
+_start:
+	mov rax, 1
+	mov rdi, 1
+	lea rsi, [rip+msg]
+	mov rdx, 1
+	syscall
+	mov rax, 1
+	mov rdi, 1
+	mov rdx, 1
+	syscall
+	mov rax, 60
+	mov rdi, 0
+	syscall
+.data
+msg: .ascii "AXY"
+`
+
+// forkAfterFirstWrite runs writeForkProg to its pause point and
+// snapshots it. It returns the snapshot and msg's address.
+func forkAfterFirstWrite(t *testing.T) (*Snapshot, uint64) {
+	t.Helper()
+	bin, err := asm.Assemble(writeForkProg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(bin, Config{})
+	if _, done, err := m.RunUntil(5); done || err != nil {
+		t.Fatalf("prefix: done=%v err=%v", done, err)
+	}
+	if string(m.Stdout) != "A" {
+		t.Fatalf("prefix stdout = %q, want \"A\"", m.Stdout)
+	}
+	return m.Snapshot(), m.Regs[isa.RSI]
+}
+
+// TestWriteFaultAllocatesNothing: a write whose source range is
+// unmapped, or mapped only in part, fails with -EFAULT before the
+// emulator allocates anything — a fault-corrupted length or pointer
+// must not cost the clamped megabyte.
+func TestWriteFaultAllocatesNothing(t *testing.T) {
+	snap, msg := forkAfterFirstWrite(t)
+	m := snap.Resume(Config{})
+	defer m.Release()
+	for _, tc := range []struct {
+		name string
+		addr uint64
+		n    uint64
+	}{
+		{"unmapped", 0x10, 8},
+		{"partly mapped", msg, 1 << 20},
+		{"wrapping", ^uint64(0) - 3, 8},
+	} {
+		call := func() {
+			m.Regs[isa.RAX], m.Regs[isa.RDI] = sysWrite, 1
+			m.Regs[isa.RSI], m.Regs[isa.RDX] = tc.addr, tc.n
+			if err := m.syscall(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call()
+		if got := int64(m.Regs[isa.RAX]); got != -errnoFAULT {
+			t.Errorf("%s: write returned %d, want %d", tc.name, got, -errnoFAULT)
+		}
+		if string(m.Stdout) != "A" {
+			t.Errorf("%s: stdout = %q after a failed write", tc.name, m.Stdout)
+		}
+		if allocs := testing.AllocsPerRun(20, call); allocs != 0 {
+			t.Errorf("%s: failed write allocated %v times", tc.name, allocs)
+		}
+	}
+}
+
+// TestWriteFromUntouchedPages: mapped pages no instruction ever wrote
+// (the stack below rsp) read as zeros, and bytes the program did write
+// land at their offsets in between.
+func TestWriteFromUntouchedPages(t *testing.T) {
+	src := `
+.text
+_start:
+	mov rax, 0x1122334455667788
+	push rax
+	mov rax, 1
+	mov rdi, 1
+	mov rsi, rsp
+	sub rsi, 0x3000
+	mov rdx, 0x3010
+	syscall
+	mov rdi, rax
+	sub rdi, 0x3010
+	mov rax, 60
+	syscall
+`
+	res := mustExit(t, src, Config{}, 0)
+	want := make([]byte, 0x3010)
+	copy(want[0x3000:], []byte{0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11})
+	if !bytes.Equal(res.Stdout, want) {
+		t.Errorf("stdout differs from zeros plus the pushed qword (len %d)", len(res.Stdout))
+	}
+}
+
+// TestWriteForksIndependent: two forks of one snapshot that each write
+// keep independent output streams — a write grows the stream in place
+// only when it owns the spare capacity, and a snapshot's streams own
+// none.
+func TestWriteForksIndependent(t *testing.T) {
+	snap, msg := forkAfterFirstWrite(t)
+	var outs [][]byte
+	for i := uint64(1); i <= 2; i++ {
+		m := snap.Resume(Config{})
+		m.Regs[isa.RSI] = msg + i
+		res, err := m.Run()
+		if err != nil || !res.Exited {
+			t.Fatalf("fork %d: %+v, %v", i, res, err)
+		}
+		outs = append(outs, res.Stdout)
+		m.Release()
+	}
+	if string(outs[0]) != "AX" || string(outs[1]) != "AY" {
+		t.Errorf("fork stdouts = %q, %q, want \"AX\", \"AY\"", outs[0], outs[1])
 	}
 }

@@ -18,14 +18,16 @@
 // mutated) translate private blocks lazily from their own memory.
 //
 // Correctness contract: the fast path is bit-identical to Step. It
-// only runs while no hook arming window is open and no recorder is
-// attached (Machine.fastLimit), errors leave RIP at the faulting
-// instruction with the step already counted exactly like Step, RunUntil
-// boundaries pause at precise step counts, and a uop that may write
-// memory re-checks the code generation so self-modifying stores drop
-// back to the interpreter before a stale block executes. The
-// differential fuzz target (FuzzFastPathDifferential) and the campaign
-// parity tests enforce the contract.
+// only runs while no hook arming window is open and no trace is being
+// recorded (Machine.fastLimit); page recording stays on it, logging
+// each code page at the step Step would first fetch from it
+// (noteEntry). Errors leave RIP at the faulting instruction with the
+// step already counted exactly like Step, RunUntil boundaries pause at
+// precise step counts, and a uop that may write memory re-checks the
+// code generation so self-modifying stores drop back to the
+// interpreter before a stale block executes. The differential fuzz
+// target (FuzzUopTranslator), the uop differential tests and the
+// campaign parity tests enforce the contract, page logs included.
 package emu
 
 import (
@@ -74,7 +76,8 @@ const (
 	// stream at the new RIP.
 	uFlagCF uint8 = 1 << iota
 	// uFlagSeq: the next uop in the stream is this one's fall-through
-	// successor, so the runner advances by index instead of lookup.
+	// successor and fetches only from the page this one ends on (see
+	// startsPage), so the runner advances by index instead of lookup.
 	uFlagSeq
 	// uFlagMemW: the uop may write memory; the runner re-checks the
 	// code generation afterwards and bails out if a store touched
@@ -129,6 +132,16 @@ func (m *Machine) uaddr(u *uop) uint64 {
 		a += m.Regs[u.index] * uint64(u.scale)
 	}
 	return a
+}
+
+// startsPage reports whether u fetches from a page its fall-through
+// predecessor does not end on: it starts at a page boundary or
+// straddles one. Such a uop never gets a uFlagSeq predecessor, so the
+// runner reaches it through a stream lookup, where page recording logs
+// it; a uop reached by slot increment fetches only from a page its
+// predecessor already logged.
+func startsPage(u *uop) bool {
+	return u.addr&(pageSize-1) == 0 || u.addr&^(pageSize-1) != (u.next-1)&^(pageSize-1)
 }
 
 // maskImm pre-applies readOperand's immediate masking.
@@ -542,7 +555,7 @@ func TranslateProgram(cc *CodeCache) *Program {
 		translateInst(&cc.insts[off], &p.uops[i])
 		p.idx[off] = int32(i + 1)
 		if prev >= 0 {
-			if pu := &p.uops[prev]; pu.flags&uFlagCF == 0 && pu.next == p.uops[i].addr {
+			if pu := &p.uops[prev]; pu.flags&uFlagCF == 0 && pu.next == p.uops[i].addr && !startsPage(&p.uops[i]) {
 				pu.flags |= uFlagSeq
 			}
 		}
@@ -654,7 +667,7 @@ func (m *Machine) translateBlock(p *privProg, addr uint64) int {
 			p.insts = append(p.insts, dec)
 			u.inst = &p.insts[len(p.insts)-1]
 		}
-		if len(p.uops)-1 > start {
+		if len(p.uops)-1 > start && !startsPage(u) {
 			// The previous uop is never control flow (the loop would
 			// have ended), so the new uop is its fall-through successor.
 			p.uops[len(p.uops)-2].flags |= uFlagSeq
@@ -716,11 +729,12 @@ func (m *Machine) fastLookup(addr uint64) ([]uop, int) {
 // fastLimit returns the step count up to which the machine may run on
 // the micro-op fast path right now: the caller's stop boundary,
 // clamped by the step limit and by the start of the hook arming
-// window. Zero (or any value <= Steps) means single-step: a recorder
-// is attached, single-stepping was forced, or Steps is inside the
-// arming window.
+// window. Zero (or any value <= Steps) means single-step: a trace is
+// being recorded, single-stepping was forced, or Steps is inside the
+// arming window. Page recording does not force single-stepping;
+// runFast logs pages itself.
 func (m *Machine) fastLimit(stop uint64) uint64 {
-	if m.singleStep || m.recordTrace || m.pageLog != nil {
+	if m.singleStep || m.recordTrace {
 		return 0
 	}
 	lim := stop
@@ -738,6 +752,19 @@ func (m *Machine) fastLimit(stop uint64) uint64 {
 	return lim
 }
 
+// noteEntry logs, when pages are recorded, the pages of the uop a
+// stream lookup resolved, at the step it is about to execute — the
+// same pages, at the same step, Step logs for it. A uop the runner
+// will not execute (Steps has reached limit) logs nothing. Uops
+// reached by slot increment need no logging (see startsPage), so the
+// per-uop loop pays nothing for page recording.
+func (m *Machine) noteEntry(u *uop, limit uint64) {
+	if m.pageLog != nil && m.Steps < limit {
+		m.notePage(u.addr)
+		m.notePage(u.next - 1)
+	}
+}
+
 // runFast executes micro-ops until limit, exit, an un-translated
 // address, or an error. It reports whether any step executed (moved ==
 // false means the caller must single-step to make progress). RIP is
@@ -748,6 +775,7 @@ func (m *Machine) runFast(limit uint64) (bool, error) {
 	if i < 0 {
 		return false, nil
 	}
+	m.noteEntry(&uops[i], limit)
 	gen := m.Mem.codeGen
 	moved := false
 	for {
@@ -770,6 +798,7 @@ func (m *Machine) runFast(limit uint64) (bool, error) {
 			if i < 0 {
 				return true, nil
 			}
+			m.noteEntry(&uops[i], limit)
 			gen = m.Mem.codeGen
 			continue
 		}
@@ -789,6 +818,7 @@ func (m *Machine) runFast(limit uint64) (bool, error) {
 		if i < 0 {
 			return true, nil
 		}
+		m.noteEntry(&uops[i], limit)
 		gen = m.Mem.codeGen
 	}
 }

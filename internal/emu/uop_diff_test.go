@@ -2,6 +2,7 @@ package emu_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/r2r/reinforce/internal/cases"
@@ -32,10 +33,24 @@ func sameResult(t *testing.T, label string, rf emu.Result, ef error, rs emu.Resu
 	}
 }
 
+// samePageLog compares two recorded runs' code-page footprints: the
+// same pages, each first fetched at the same step.
+func samePageLog(t *testing.T, label string, fast, slow *emu.Machine) {
+	t.Helper()
+	if len(slow.PageLog()) == 0 {
+		t.Fatalf("%s: interpreter recorded no pages", label)
+	}
+	if !reflect.DeepEqual(fast.PageLog(), slow.PageLog()) {
+		t.Fatalf("%s: page log divergence: fast=%v slow=%v", label, fast.PageLog(), slow.PageLog())
+	}
+}
+
 // TestFastPathDifferential: for every case study and both inputs, the
 // micro-op fast path (the default) and the forced single-step
-// interpreter must produce bit-identical runs. This is the fast path's
-// core contract — it is an execution strategy, never a semantic change.
+// interpreter must produce bit-identical runs, with and without page
+// recording, and recorded runs must log identical page footprints.
+// This is the fast path's core contract — it is an execution strategy,
+// never a semantic change.
 func TestFastPathDifferential(t *testing.T) {
 	for _, c := range cases.All() {
 		c := c
@@ -45,9 +60,16 @@ func TestFastPathDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, in := range [][]byte{c.Good, c.Bad} {
-				rf, ef := emu.New(bin, emu.Config{Stdin: in}).Run()
-				rs, es := emu.New(bin, emu.Config{Stdin: in, SingleStep: true}).Run()
-				sameResult(t, string(in), rf, ef, rs, es)
+				for _, rec := range []bool{false, true} {
+					fm := emu.New(bin, emu.Config{Stdin: in, RecordPages: rec})
+					sm := emu.New(bin, emu.Config{Stdin: in, RecordPages: rec, SingleStep: true})
+					rf, ef := fm.Run()
+					rs, es := sm.Run()
+					sameResult(t, string(in), rf, ef, rs, es)
+					if rec {
+						samePageLog(t, string(in), fm, sm)
+					}
+				}
 			}
 		})
 	}
@@ -94,7 +116,8 @@ func TestFastPathHookWindowParity(t *testing.T) {
 
 // TestFastPathSnapshotResumeParity: forking a mid-run snapshot must be
 // bit-identical between the fast path and the interpreter, including
-// when the fork carries an armed hook window (the injection pattern).
+// when the fork carries an armed hook window and records its pages
+// (the memo-recording injection pattern).
 func TestFastPathSnapshotResumeParity(t *testing.T) {
 	c := cases.Pincheck()
 	bin, err := c.Build()
@@ -111,8 +134,8 @@ func TestFastPathSnapshotResumeParity(t *testing.T) {
 		t.Fatalf("prefix run ended early: done=%v err=%v", done, err)
 	}
 	snap := m.Snapshot()
-	fork := func(singleStep bool) (emu.Result, error) {
-		cfg := emu.Config{SingleStep: singleStep}
+	fork := func(singleStep, rec bool) (*emu.Machine, emu.Result, error) {
+		cfg := emu.Config{SingleStep: singleStep, RecordPages: rec}
 		cfg.AddStepHookWindow(func(m *emu.Machine, in *isa.Inst) emu.StepAction {
 			if m.Steps-1 == hook {
 				return emu.ActSkip
@@ -121,12 +144,18 @@ func TestFastPathSnapshotResumeParity(t *testing.T) {
 		}, hook, hook+1)
 		m2 := snap.Resume(cfg)
 		res, err := m2.Run()
-		m2.Release()
-		return res, err
+		return m2, res, err
 	}
-	rf, ef := fork(false)
-	rs, es := fork(true)
-	sameResult(t, "fork", rf, ef, rs, es)
+	for _, rec := range []bool{false, true} {
+		fm, rf, ef := fork(false, rec)
+		sm, rs, es := fork(true, rec)
+		sameResult(t, "fork", rf, ef, rs, es)
+		if rec {
+			samePageLog(t, "fork", fm, sm)
+		}
+		fm.Release()
+		sm.Release()
+	}
 }
 
 // TestReleaseReuseIdentical: recycling machines through Release must
